@@ -142,9 +142,19 @@ func (ix *index) KNN(q []float64, k int) int { // want `missing the //hos:hotpat
 	return k
 }
 
+// Exceeds is the threshold-decision entry point: also required.
+func (ix *index) Exceeds(q []float64, t float64) bool { // want `missing the //hos:hotpath annotation`
+	return dist(q, q) >= t
+}
+
 type miner struct{}
 
 //hos:hotpath
 func (m *miner) QueryWith(q []float64) float64 {
 	return dist(q, q)
+}
+
+//hos:hotpath
+func (m *miner) Exceeds(q []float64, t float64) bool {
+	return dist(q, q) >= t
 }

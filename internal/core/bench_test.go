@@ -30,7 +30,10 @@ func benchMiner(b *testing.B, shards int) *Miner {
 }
 
 // BenchmarkQueryWith is the single-query hot path on a caller-owned
-// evaluator — the unit the server's /query handler pays per miss.
+// evaluator — the unit the server's /query handler pays per miss. It
+// reports, per OD evaluation, how many threshold decisions stopped the
+// k-NN search early (exits/eval; the sharded searcher has no early
+// exits) and how many points were examined (examined/eval).
 func BenchmarkQueryWith(b *testing.B) {
 	for _, shards := range []int{0, 4} { // 0 = single unsharded index
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -41,11 +44,16 @@ func BenchmarkQueryWith(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
+			evals0, stats0 := eval.Evaluations(), eval.SearchStats()
 			for i := 0; i < b.N; i++ {
 				if _, err := m.QueryPointWith(eval, i%m.Dataset().N()); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			evals, stats := float64(eval.Evaluations()-evals0), eval.SearchStats()
+			b.ReportMetric(float64(stats.EarlyExits-stats0.EarlyExits)/evals, "exits/eval")
+			b.ReportMetric(float64(stats.PointsExamined-stats0.PointsExamined)/evals, "examined/eval")
 		})
 	}
 }

@@ -177,7 +177,7 @@ func searchInto(ctx context.Context, sc *searchScratch, q *od.Query, d int, T fl
 				}
 			}
 			evals++
-			if q.OD(s) >= T {
+			if q.Exceeds(s, T) {
 				tr.MarkOutlier(s, true)
 			} else {
 				tr.MarkNonOutlier(s, true)

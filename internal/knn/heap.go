@@ -14,6 +14,10 @@ type BoundedHeap struct {
 	k       int
 	items   []Neighbor // max-heap by (Dist, Index); sorted ascending once drained
 	drained bool
+	// gen changes whenever the retained set may have changed (Reset or
+	// an accepted Push), so derived views such as Scratch's ascending
+	// distances know when to refresh.
+	gen uint64
 }
 
 // NewBoundedHeap creates a heap retaining the k nearest items.
@@ -30,6 +34,7 @@ func (h *BoundedHeap) Reset(k int) {
 	h.k = k
 	h.items = h.items[:0]
 	h.drained = false
+	h.gen++
 }
 
 // less orders the heap: a dominates b (sits closer to the top) when a
@@ -55,6 +60,7 @@ func (h *BoundedHeap) Push(index int, dist float64) {
 	if len(h.items) < h.k {
 		h.items = append(h.items, nb)
 		h.siftUp(len(h.items) - 1)
+		h.gen++
 		return
 	}
 	if !worse(h.items[0], nb) {
@@ -62,6 +68,7 @@ func (h *BoundedHeap) Push(index int, dist float64) {
 	}
 	h.items[0] = nb
 	h.siftDown(0, len(h.items))
+	h.gen++
 }
 
 // Full reports whether k items are held.

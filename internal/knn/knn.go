@@ -49,11 +49,14 @@ type Searcher interface {
 
 // SearchStats counts the work a Searcher has performed. PointsExamined
 // is the number of point-to-query distance computations;
-// NodesVisited is index-structure specific (0 for a linear scan).
+// NodesVisited is index-structure specific (0 for a linear scan);
+// EarlyExits counts threshold decisions (Decider.Exceeds) settled by a
+// bound before the full k-NN search would have finished.
 type SearchStats struct {
 	Queries        int64
 	PointsExamined int64
 	NodesVisited   int64
+	EarlyExits     int64
 }
 
 // Add accumulates other into s.
@@ -61,6 +64,7 @@ func (s *SearchStats) Add(other SearchStats) {
 	s.Queries += other.Queries
 	s.PointsExamined += other.PointsExamined
 	s.NodesVisited += other.NodesVisited
+	s.EarlyExits += other.EarlyExits
 }
 
 // AtomicStats is the concurrency-safe counter set behind a Searcher's
@@ -70,16 +74,18 @@ type AtomicStats struct {
 	Queries        atomic.Int64
 	PointsExamined atomic.Int64
 	NodesVisited   atomic.Int64
+	EarlyExits     atomic.Int64
 }
 
 // Snapshot reads the counters into a plain SearchStats. Each counter
-// is read atomically; the triple is not a single consistent cut, which
+// is read atomically; the set is not a single consistent cut, which
 // is fine for monotonic work counters.
 func (a *AtomicStats) Snapshot() SearchStats {
 	return SearchStats{
 		Queries:        a.Queries.Load(),
 		PointsExamined: a.PointsExamined.Load(),
 		NodesVisited:   a.NodesVisited.Load(),
+		EarlyExits:     a.EarlyExits.Load(),
 	}
 }
 
@@ -88,6 +94,7 @@ func (a *AtomicStats) Reset() {
 	a.Queries.Store(0)
 	a.PointsExamined.Store(0)
 	a.NodesVisited.Store(0)
+	a.EarlyExits.Store(0)
 }
 
 // Scratch is the reusable working set a searcher threads through every
@@ -98,6 +105,12 @@ func (a *AtomicStats) Reset() {
 type Scratch struct {
 	Dims []int
 	Heap BoundedHeap
+
+	// asc holds the heap's finalized distances in ascending order for
+	// the threshold-decision bounds (see decide.go); it is current
+	// while ascGen == Heap.gen.
+	asc    []float64
+	ascGen uint64
 }
 
 // Begin prepares the scratch for one query: decodes s into Dims

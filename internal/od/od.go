@@ -4,9 +4,10 @@
 //
 // the sum of distances from p to its k nearest neighbours in subspace
 // s. The Evaluator wraps a knn.Searcher, adds the optional
-// dimensionality normalization discussed in DESIGN.md, and caches OD
-// values per (query, subspace) so repeated lattice probes of the same
-// subspace are free.
+// dimensionality normalization discussed in DESIGN.md, answers the
+// lattice's threshold question OD(p, s) ≥ T (Exceeds) without always
+// finishing the k-NN search, and caches what it learns per (query,
+// subspace) so repeated lattice probes of the same subspace are free.
 package od
 
 import (
@@ -53,9 +54,13 @@ func (n Normalization) String() string {
 type Evaluator struct {
 	ds       *vector.Dataset
 	searcher knn.Searcher
-	metric   vector.Metric
-	k        int
-	norm     Normalization
+	// decider is searcher's threshold-decision capability, nil when the
+	// searcher lacks it or normalization rescales the sum after the
+	// search (then Exceeds falls back to OD(...) ≥ T).
+	decider knn.Decider
+	metric  vector.Metric
+	k       int
+	norm    Normalization
 
 	evaluations int64
 
@@ -88,7 +93,11 @@ func NewEvaluator(ds *vector.Dataset, searcher knn.Searcher, metric vector.Metri
 	if norm > NormDim {
 		return nil, fmt.Errorf("od: invalid normalization %v", norm)
 	}
-	return &Evaluator{ds: ds, searcher: searcher, metric: metric, k: k, norm: norm}, nil
+	e := &Evaluator{ds: ds, searcher: searcher, metric: metric, k: k, norm: norm}
+	if d, ok := searcher.(knn.Decider); ok && norm == NormNone {
+		e.decider = d
+	}
+	return e, nil
 }
 
 // K returns the neighbourhood size.
@@ -100,9 +109,13 @@ func (e *Evaluator) Metric() vector.Metric { return e.metric }
 // Dataset returns the underlying dataset.
 func (e *Evaluator) Dataset() *vector.Dataset { return e.ds }
 
-// Evaluations returns how many OD computations were performed (cache
-// hits in Query excluded).
+// Evaluations returns how many OD computations and threshold
+// decisions were performed (cache hits in Query excluded).
 func (e *Evaluator) Evaluations() int64 { return e.evaluations }
+
+// SearchStats returns the work counters of the evaluator's k-NN
+// searcher.
+func (e *Evaluator) SearchStats() knn.SearchStats { return e.searcher.Stats() }
 
 // Scratch returns the engine-attached opaque scratch value, or nil.
 func (e *Evaluator) Scratch() any { return e.scratch }
@@ -130,6 +143,21 @@ func (e *Evaluator) OD(p []float64, s subspace.Mask, exclude int) float64 {
 		sum = normalizeSum(sum, e.metric, s)
 	}
 	return sum
+}
+
+// Exceeds reports whether OD(p, s) ≥ T — bit for bit the answer of
+// e.OD(p, s, exclude) >= T, T equal to an OD value included — stopping
+// the k-NN search as soon as an exact bound settles it (see
+// knn.Decider). Without a deciding searcher, or under NormDim, it
+// computes OD and compares.
+//
+//hos:hotpath
+func (e *Evaluator) Exceeds(p []float64, s subspace.Mask, exclude int, T float64) bool {
+	if e.decider == nil || s.IsEmpty() {
+		return e.OD(p, s, exclude) >= T
+	}
+	e.evaluations++
+	return e.decider.Exceeds(p, s, e.k, exclude, T)
 }
 
 // ODOfPoint computes OD for dataset point idx (self-excluding).
@@ -160,17 +188,62 @@ func normalizeSum(sum float64, m vector.Metric, s subspace.Mask) float64 {
 	}
 }
 
+// entry is what a cache knows about OD(p, s) for one subspace: its
+// exact value, or only a verdict against a threshold.
+type entry struct {
+	v    float64 // the exact OD, or the threshold of a verdict
+	kind entryKind
+}
+
+type entryKind uint8
+
+const (
+	exactOD entryKind = iota // OD == v
+	atLeast                  // OD ≥ v
+	below                    // OD < v
+)
+
+// verdict records the outcome of OD ≥ T.
+//
+//hos:hotpath
+func verdict(yes bool, T float64) entry {
+	if yes {
+		return entry{v: T, kind: atLeast}
+	}
+	return entry{v: T, kind: below}
+}
+
+// decide answers OD ≥ T from the entry when it can: always for an
+// exact value, and for a verdict whose threshold bounds T on the
+// right side (OD ≥ v ≥ T, or OD < v ≤ T).
+//
+//hos:hotpath
+func (en entry) decide(T float64) (yes, ok bool) {
+	switch en.kind {
+	case exactOD:
+		return en.v >= T, true
+	case atLeast:
+		return true, T <= en.v
+	default:
+		return false, T >= en.v
+	}
+}
+
 // Query is a per-point OD cache. HOS-Miner's dynamic search may probe
 // a subspace more than once across phases; the cache makes the second
 // probe free and exposes an exact count of distinct evaluations. A
 // Query built by NewSharedQuery additionally consults (and populates)
 // a batch-wide SharedCache before computing, so identical probes from
 // sibling queries in the same batch are also free.
+//
+// Entries hold an exact OD (from OD) or a threshold verdict (from
+// Exceeds). A verdict answers later Exceeds calls it bounds; OD never
+// returns one — it recomputes and upgrades the entry to the value.
 type Query struct {
 	eval    *Evaluator
 	point   []float64
 	exclude int
-	cache   map[subspace.Mask]float64
+	cache   map[subspace.Mask]entry
 
 	// shared is the optional batch-wide second-level cache; skeyRow /
 	// skeyPoint are this point's identity within it (computed once at
@@ -191,7 +264,7 @@ func (e *Evaluator) NewQuery(point []float64, exclude int) *Query {
 		eval:    e,
 		point:   append([]float64(nil), point...),
 		exclude: exclude,
-		cache:   make(map[subspace.Mask]float64),
+		cache:   make(map[subspace.Mask]entry),
 	}
 }
 
@@ -220,7 +293,7 @@ func (e *Evaluator) BorrowQuery(point []float64, exclude int, shared *SharedCach
 	q.point = append(q.point[:0], point...)
 	q.exclude = exclude
 	if q.cache == nil {
-		q.cache = make(map[subspace.Mask]float64)
+		q.cache = make(map[subspace.Mask]entry)
 	} else {
 		clear(q.cache)
 	}
@@ -242,24 +315,60 @@ func (e *Evaluator) NewQueryForPoint(idx int) *Query {
 //
 //hos:hotpath
 func (q *Query) OD(s subspace.Mask) float64 {
-	if v, ok := q.cache[s]; ok {
+	if en, ok := q.cache[s]; ok && en.kind == exactOD {
 		q.hits++
-		return v
+		return en.v
 	}
 	if q.shared != nil {
-		if v, ok := q.shared.get(sharedKey{row: q.skeyRow, point: q.skeyPoint, mask: s}); ok {
+		if v, ok := q.shared.get(q.sharedKey(s)); ok {
 			q.sharedHits++
-			q.cache[s] = v
+			q.cache[s] = entry{v: v}
 			return v
 		}
 	}
 	q.misses++
 	v := q.eval.OD(q.point, s, q.exclude)
-	q.cache[s] = v
+	q.cache[s] = entry{v: v}
 	if q.shared != nil {
-		q.shared.put(sharedKey{row: q.skeyRow, point: q.skeyPoint, mask: s}, v)
+		q.shared.put(q.sharedKey(s), v)
 	}
 	return v
+}
+
+// Exceeds reports whether OD(s) ≥ T, from the cache when an entry
+// settles it and otherwise through Evaluator.Exceeds, whose verdict it
+// then caches.
+//
+//hos:hotpath
+func (q *Query) Exceeds(s subspace.Mask, T float64) bool {
+	if en, ok := q.cache[s]; ok {
+		if yes, ok := en.decide(T); ok {
+			q.hits++
+			return yes
+		}
+	}
+	if q.shared != nil {
+		if yes, ok := q.shared.decide(q.sharedKey(s), T); ok {
+			q.sharedHits++
+			q.cache[s] = verdict(yes, T)
+			return yes
+		}
+	}
+	q.misses++
+	yes := q.eval.Exceeds(q.point, s, q.exclude, T)
+	en := verdict(yes, T)
+	q.cache[s] = en
+	if q.shared != nil {
+		q.shared.store(q.sharedKey(s), en)
+	}
+	return yes
+}
+
+// sharedKey is this point's shared-cache key for subspace s.
+//
+//hos:hotpath
+func (q *Query) sharedKey(s subspace.Mask) sharedKey {
+	return sharedKey{row: q.skeyRow, point: q.skeyPoint, mask: s}
 }
 
 // Point returns a copy of the query point.

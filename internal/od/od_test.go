@@ -205,3 +205,44 @@ func TestQueryMatchesEvaluator(t *testing.T) {
 		}
 	}
 }
+
+// A cached verdict answers every later threshold it bounds (OD ≥ T
+// settles any lower threshold, OD < T any higher one) and nothing
+// else; OD never returns a verdict but recomputes and keeps the value.
+func TestQueryExceedsCachesVerdicts(t *testing.T) {
+	e := newEval(t, randomRows(4, 50, 5), 3, NormNone)
+	s := subspace.Full(5)
+	v := e.ODOfPoint(3, s)
+	q := e.NewQueryForPoint(3)
+	steps := []struct {
+		T          float64
+		want       bool
+		wantMisses int64
+	}{
+		{v, true, 1},      // computed: OD ≥ v
+		{v / 2, true, 1},  // settled by OD ≥ v
+		{2 * v, false, 2}, // not settled: computed, OD < 2v
+		{3 * v, false, 2}, // settled by OD < 2v
+		{v, true, 3},      // OD < 2v does not settle v: computed
+	}
+	for i, st := range steps {
+		if got := q.Exceeds(s, st.T); got != st.want {
+			t.Fatalf("step %d: Exceeds(%v) = %v, want %v", i, st.T, got, st.want)
+		}
+		if _, misses := q.CacheStats(); misses != st.wantMisses {
+			t.Fatalf("step %d: %d computations, want %d", i, misses, st.wantMisses)
+		}
+	}
+	if got := q.OD(s); got != v {
+		t.Fatalf("OD after verdicts = %v, want %v", got, v)
+	}
+	if got := q.OD(s); got != v {
+		t.Fatalf("cached OD = %v, want %v", got, v)
+	}
+	if hits, misses := q.CacheStats(); hits != 3 || misses != 4 {
+		t.Fatalf("cache stats hits=%d misses=%d, want 3 and 4", hits, misses)
+	}
+	if !q.Exceeds(s, v) || q.Exceeds(s, math.Nextafter(v, math.Inf(1))) {
+		t.Fatal("exact entry decided a threshold wrongly")
+	}
+}

@@ -20,7 +20,7 @@ const DefaultSharedCacheCapacity = 1 << 16
 // mutex.
 const sharedShards = 16
 
-// sharedKey identifies one memoised OD value: the query point's
+// sharedKey identifies one memoised OD entry: the query point's
 // identity (see pointIdentity) plus the subspace it was evaluated in.
 // Dataset rows are keyed by index alone so the hot batch-by-index path
 // builds keys without allocating; external points carry their
@@ -33,7 +33,7 @@ type sharedKey struct {
 
 type sharedShard struct {
 	mu sync.Mutex
-	m  map[sharedKey]float64
+	m  map[sharedKey]entry
 }
 
 // SharedCache is a bounded, concurrency-safe memo of OD evaluations
@@ -42,9 +42,10 @@ type sharedShard struct {
 // traffic — then pay for each distinct (point, subspace) evaluation
 // once per batch instead of once per request.
 //
-// The cache stores the OD value itself, i.e. the reduction of the
-// point's k-NN neighbourhood in that subspace; since OD is the only
-// consumer of neighbourhoods on the query path, memoising the value
+// The cache stores what a Query learned about OD — the value itself
+// (the reduction of the point's k-NN neighbourhood in that subspace)
+// or a verdict against a threshold (see Query.Exceeds); since OD is
+// the only consumer of neighbourhoods on the query path, memoising it
 // subsumes memoising the neighbour set. Eviction is random-replacement
 // per shard: cheap, concurrency-friendly, and — because OD values are
 // deterministic — only ever a performance concern, never a
@@ -74,7 +75,7 @@ func NewSharedCache(capacity int) *SharedCache {
 	}
 	c := &SharedCache{shardCap: per}
 	for i := range c.shards {
-		c.shards[i].m = make(map[sharedKey]float64)
+		c.shards[i].m = make(map[sharedKey]entry)
 	}
 	return c
 }
@@ -120,39 +121,72 @@ func (c *SharedCache) shardFor(k sharedKey) *sharedShard {
 	return &c.shards[h%sharedShards]
 }
 
-// get looks up a memoised OD value, counting the outcome.
-func (c *SharedCache) get(k sharedKey) (float64, bool) {
-	if c == nil {
-		return 0, false
-	}
+// lookup returns the resident entry for k, if any.
+func (c *SharedCache) lookup(k sharedKey) (entry, bool) {
 	sh := c.shardFor(k)
 	sh.mu.Lock()
-	v, ok := sh.m[k]
+	en, ok := sh.m[k]
 	sh.mu.Unlock()
-	if ok {
+	return en, ok
+}
+
+// count records a lookup outcome: a hit only when the entry answered
+// the question asked, so Misses stays the number of computations.
+func (c *SharedCache) count(hit bool) {
+	if hit {
 		c.hits.Add(1)
 	} else {
 		c.misses.Add(1)
 	}
-	return v, ok
 }
 
-// put memoises an OD value, evicting an arbitrary resident entry when
-// the shard is full.
+// get looks up an exact OD value; a verdict-only entry is a miss.
+func (c *SharedCache) get(k sharedKey) (float64, bool) {
+	if c == nil {
+		return 0, false
+	}
+	en, ok := c.lookup(k)
+	ok = ok && en.kind == exactOD
+	c.count(ok)
+	return en.v, ok
+}
+
+// decide answers OD ≥ T from a memoised entry when it settles it.
+func (c *SharedCache) decide(k sharedKey, T float64) (yes, ok bool) {
+	en, found := c.lookup(k)
+	if found {
+		yes, ok = en.decide(T)
+	}
+	c.count(ok)
+	return yes, ok
+}
+
+// put memoises an exact OD value.
 func (c *SharedCache) put(k sharedKey, v float64) {
 	if c == nil {
 		return
 	}
+	c.store(k, entry{v: v})
+}
+
+// store memoises an entry, evicting an arbitrary resident entry when
+// the shard is full. A verdict never displaces a resident exact value.
+func (c *SharedCache) store(k sharedKey, en entry) {
 	sh := c.shardFor(k)
 	sh.mu.Lock()
-	if _, ok := sh.m[k]; !ok && len(sh.m) >= c.shardCap {
+	old, ok := sh.m[k]
+	switch {
+	case ok && old.kind == exactOD && en.kind != exactOD:
+		sh.mu.Unlock()
+		return
+	case !ok && len(sh.m) >= c.shardCap:
 		for victim := range sh.m {
 			delete(sh.m, victim)
 			break
 		}
 		c.evictions.Add(1)
 	}
-	sh.m[k] = v
+	sh.m[k] = en
 	sh.mu.Unlock()
 }
 
@@ -160,7 +194,9 @@ func (c *SharedCache) put(k sharedKey, v float64) {
 // SharedCache.
 type SharedCacheStats struct {
 	// Hits and Misses count lookups by Query instances attached to the
-	// cache; Misses therefore equals the number of OD computations the
+	// cache (a hit is an entry that answered the lookup: a value for
+	// OD, a settling value or verdict for Exceeds); Misses therefore
+	// equals the number of OD computations and threshold decisions the
 	// batch actually performed through shared queries.
 	Hits   int64
 	Misses int64

@@ -112,12 +112,55 @@ func minDistDims(m vector.Metric, dims []int, q, lo, hi []float64) float64 {
 //hos:hotpath
 func (s *Searcher) KNN(query []float64, sub subspace.Mask, k int, exclude int) []knn.Neighbor {
 	s.stats.Queries.Add(1)
-	t := s.tree
-	if k <= 0 || sub.IsEmpty() || t.size == 0 {
+	if k <= 0 || sub.IsEmpty() || s.tree.size == 0 {
 		return nil
 	}
+	s.search(query, sub, k, exclude, false, 0)
+	res := s.scratch.Heap.Sorted()
+	if s.tree.metric == vector.L2 {
+		for i := range res {
+			res[i].Dist = math.Sqrt(res[i].Dist)
+		}
+	}
+	return res
+}
+
+// Exceeds implements knn.Decider: KNN's traversal, stopped as soon as
+// either exact bound settles the answer — "no" when the heap is full
+// and its ascending sum is < T, "yes" when a node popped at
+// min-distance r (a lower bound on every point not yet examined) gives
+// Σ min(c_i, r) ≥ T. It never runs longer than KNN.
+//
+//hos:hotpath
+func (s *Searcher) Exceeds(query []float64, sub subspace.Mask, k int, exclude int, T float64) bool {
+	if k <= 0 || sub.IsEmpty() || s.tree.size <= k {
+		// Too few points to fill every slot: the lower bound's empty
+		// slots would count neighbours that do not exist.
+		return knn.SumDistances(s.KNN(query, sub, k, exclude)) >= T
+	}
+	s.stats.Queries.Add(1)
+	if decided, verdict := s.search(query, sub, k, exclude, true, T); decided {
+		s.stats.EarlyExits.Add(1)
+		return verdict
+	}
+	return s.scratch.Sum(s.tree.metric == vector.L2) >= T
+}
+
+// search is the best-first (Hjaltason–Samet) traversal behind KNN and
+// Exceeds: nodes are expanded in order of MINDIST to the query within
+// the search subspace, and the traversal stops once the k-th nearest
+// candidate is closer than the nearest unexpanded node. The result is
+// left in the scratch heap (squared distances under L2). With decide
+// set it also stops, reporting decided, as soon as the heap's bounds
+// settle Σ distances ≥ T; a pop that would end the traversal anyway
+// makes both bounds the exact sum, so it is left to the caller.
+//
+//hos:hotpath
+func (s *Searcher) search(query []float64, sub subspace.Mask, k int, exclude int, decide bool, T float64) (decided, verdict bool) {
+	t := s.tree
 	dims := s.scratch.Begin(sub, k)
-	best := &s.scratch.Heap
+	sc := &s.scratch
+	best := &sc.Heap
 	a := &t.ar
 	d := a.dim
 	slab := t.ds.Slab()
@@ -141,6 +184,16 @@ func (s *Searcher) KNN(query []float64, sub subspace.Mask, k int, exclude int) [
 		item, pq = pqPop(pq)
 		if w, full := best.WorstDist(); full && item.minDist > w {
 			break // nothing closer remains
+		}
+		if decide {
+			if sc.Below(T, useSq) {
+				decided, verdict = true, false
+				break
+			}
+			if sc.Reaches(item.minDist, T, useSq) {
+				decided, verdict = true, true
+				break
+			}
 		}
 		nodesVisited++
 		n := &a.nodes[item.id]
@@ -173,14 +226,7 @@ func (s *Searcher) KNN(query []float64, sub subspace.Mask, k int, exclude int) [
 	s.pq = pq[:0]
 	s.stats.NodesVisited.Add(nodesVisited)
 	s.stats.PointsExamined.Add(pointsExamined)
-
-	res := best.Sorted()
-	if useSq {
-		for i := range res {
-			res[i].Dist = math.Sqrt(res[i].Dist)
-		}
-	}
-	return res
+	return decided, verdict
 }
 
 // Range returns the indices of all points within radius r of the
