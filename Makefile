@@ -23,8 +23,10 @@ lint:
 build:
 	$(GO) build ./...
 
+# perfbench is a nested module: the root ./... never reaches it.
 test:
 	$(GO) test -race ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # cover reproduces CI's per-package coverage gate.
 cover:

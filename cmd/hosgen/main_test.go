@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dataio"
+	"repro/internal/snapshot"
 )
 
 func TestRunToStdout(t *testing.T) {
@@ -108,7 +109,7 @@ func TestRunSaveSnapshot(t *testing.T) {
 	if !strings.Contains(errBuf.String(), "wrote snapshot") {
 		t.Fatalf("stderr: %s", errBuf.String())
 	}
-	s, err := dataio.LoadSnapshot(snapPath)
+	s, err := snapshot.LoadFile(snapPath)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,8 +79,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		normalize = fs.Bool("normalize", false, "min-max normalize columns before mining")
 		showAll   = fs.Bool("all", false, "also print the full (unfiltered) outlying set size")
 		maxPrint  = fs.Int("max-print", 25, "max minimal subspaces to print")
-		loadState = fs.String("load-state", "", "load preprocessed state (threshold+priors) from this JSON file, skipping learning")
-		saveState = fs.String("save-state", "", "after preprocessing, save state to this JSON file")
 		loadSnap  = fs.String("load", "", "load a .snap snapshot instead of -data: a full snapshot restores dataset+config+state+index wholesale; a dataset-only snapshot supplies just the data")
 		saveSnap  = fs.String("save", "", "after preprocessing, save a full snapshot (dataset+config+state+index) to this .snap file")
 	)
@@ -91,16 +89,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var m *core.Miner
 	var ds *vector.Dataset
 	var cfg core.Config
+	// prov and normRanges describe the dataset as mined. A loaded
+	// snapshot supplies both, so a -load ... -save copy keeps them and
+	// -point is rescaled into a normalized snapshot's space.
+	prov := snapshot.Provenance{Source: *dataPath, Seed: *seed, CreatedUnix: time.Now().Unix()}
+	var normRanges []snapshot.ColumnRange
 	switch {
 	case *dataPath != "" && *loadSnap != "":
 		return fmt.Errorf("use either -data or -load, not both")
 	case *dataPath == "" && *loadSnap == "":
 		return fmt.Errorf("-data (CSV) or -load (snapshot) is required")
 	case *loadSnap != "":
-		snap, err := dataio.LoadSnapshot(*loadSnap)
+		snap, err := snapshot.LoadFile(*loadSnap)
 		if err != nil {
 			return err
 		}
+		prov, normRanges = snap.Provenance, snap.NormStats
 		if snap.HasState() {
 			// Full snapshot: it fixes threshold, priors, config and index;
 			// flags that would re-derive them are conflicts, the rest are
@@ -110,9 +114,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 			if *normalize {
 				return fmt.Errorf("-load conflicts with -normalize (the snapshot holds the dataset exactly as captured)")
-			}
-			if *loadState != "" {
-				return fmt.Errorf("-load conflicts with -load-state (the snapshot already carries the state)")
 			}
 			if m, err = snap.Restore(); err != nil {
 				return err
@@ -130,31 +131,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	var normRanges []snapshot.ColumnRange
 	if m == nil {
 		if *normalize {
-			norm, stats := ds.MinMaxNormalize()
-			if ds.Columns() != nil {
-				if err := norm.SetColumns(ds.Columns()); err != nil {
-					return err
-				}
-			}
-			ds = norm
-			// Keep the raw ranges: a -save of this run must let a
-			// restoring server rebuild the ad-hoc-point transform.
-			normRanges = make([]snapshot.ColumnRange, len(stats))
-			for j, st := range stats {
-				normRanges[j] = snapshot.ColumnRange{Min: st.Min, Max: st.Max}
-			}
+			ds, normRanges = snapshot.Normalize(ds)
+			prov.Normalized = true
 		}
 
 		var err error
 		cfg = core.Config{K: *k, T: *tAbs, TQuantile: *tq, SampleSize: *samples, Seed: *seed}
-		if *loadState != "" && cfg.T == 0 && cfg.TQuantile == 0 {
-			// The loaded state supplies the real threshold; satisfy config
-			// validation with a placeholder.
-			cfg.T = 1
-		}
 		cfg.ClampSampleSize(ds.N())
 		cfg.Backend, err = core.ParseBackend(*backend)
 		if err != nil {
@@ -173,35 +157,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if m, err = core.NewMiner(ds, cfg); err != nil {
 			return err
 		}
-		if *loadState != "" {
-			if err := m.LoadStateFile(*loadState); err != nil {
-				return err
-			}
-		} else if err := m.Preprocess(); err != nil {
+		if err := m.Preprocess(); err != nil {
 			return err
 		}
-	}
-	if *saveState != "" {
-		if err := m.SaveStateFile(*saveState); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "saved state to %s\n", *saveState)
 	}
 	if *saveSnap != "" {
 		name := strings.TrimSuffix(filepath.Base(*saveSnap), ".snap")
-		prov := snapshot.Provenance{
-			Source: *dataPath, Seed: *seed, Normalized: *normalize,
-			CreatedUnix: time.Now().Unix(),
-		}
-		if *loadSnap != "" {
-			prov.Source = *loadSnap
-		}
 		snap, err := snapshot.Capture(name, prov, m)
 		if err != nil {
 			return err
 		}
 		snap.NormStats = normRanges
-		if err := dataio.SaveSnapshot(*saveSnap, snap); err != nil {
+		if err := snapshot.SaveFile(*saveSnap, snap); err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "saved snapshot to %s\n", *saveSnap)
@@ -234,6 +201,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		point, perr := parsePoint(*pointStr, ds.Dim())
 		if perr != nil {
 			return perr
+		}
+		if normRanges != nil {
+			// -point is in raw units; the dataset may not be.
+			point = snapshot.NormalizePoint(point, normRanges)
 		}
 		res, err = m.OutlyingSubspaces(point)
 	default:

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -180,44 +182,6 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestRunStateSaveAndLoad(t *testing.T) {
-	path := writeFixture(t)
-	statePath := filepath.Join(t.TempDir(), "state.json")
-	var out1, errBuf bytes.Buffer
-	err := run([]string{"-data", path, "-k", "4", "-tq", "0.95", "-samples", "8",
-		"-index", "0", "-save-state", statePath}, &out1, &errBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(errBuf.String(), "saved state") {
-		t.Fatalf("stderr: %s", errBuf.String())
-	}
-	// Re-run loading the state (no threshold flags needed).
-	var out2, errBuf2 bytes.Buffer
-	err = run([]string{"-data", path, "-k", "4", "-index", "0",
-		"-load-state", statePath}, &out2, &errBuf2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Identical answers: both outputs list the same minimal subspaces.
-	pick := func(s string) string {
-		idx := strings.Index(s, "minimal outlying")
-		if idx < 0 {
-			t.Fatalf("no results in output:\n%s", s)
-		}
-		return s[idx:]
-	}
-	if pick(out1.String()) != pick(out2.String()) {
-		t.Fatalf("state round trip changed answers:\n%s\nvs\n%s", out1.String(), out2.String())
-	}
-	// Loading a state with a mismatched K must fail.
-	var out3, errBuf3 bytes.Buffer
-	if err := run([]string{"-data", path, "-k", "3", "-index", "0",
-		"-load-state", statePath}, &out3, &errBuf3); err == nil {
-		t.Fatal("mismatched K accepted")
-	}
-}
-
 func TestRunBatch(t *testing.T) {
 	path := writeFixture(t)
 	var out, errBuf bytes.Buffer
@@ -314,7 +278,7 @@ func TestRunDatasetOnlySnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	snapPath := filepath.Join(t.TempDir(), "fixture.snap")
-	if err := dataio.SaveSnapshot(snapPath, s); err != nil {
+	if err := snapshot.SaveFile(snapPath, s); err != nil {
 		t.Fatal(err)
 	}
 	var fromCSV, fromSnap, errBuf bytes.Buffer
@@ -326,5 +290,77 @@ func TestRunDatasetOnlySnapshot(t *testing.T) {
 	}
 	if fromCSV.String() != fromSnap.String() {
 		t.Fatalf("dataset-only snapshot answers differently:\n%s\nvs\n%s", fromCSV.String(), fromSnap.String())
+	}
+}
+
+// rawRow formats dataset row i of the CSV at path as a -point value,
+// in the file's raw units.
+func rawRow(t *testing.T, path string, i int) string {
+	t.Helper()
+	ds, err := dataio.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]string, ds.Dim())
+	for j, v := range ds.Point(i) {
+		vals[j] = strconv.FormatFloat(v, 'g', -1, 64)
+	}
+	return strings.Join(vals, ",")
+}
+
+// TestRunResaveKeepsNormalization: -load of a normalized snapshot
+// followed by -save must carry the normalization ranges and the
+// provenance into the copy; without them a server restoring the copy
+// would compare raw client points with [0,1]-scaled data.
+func TestRunResaveKeepsNormalization(t *testing.T) {
+	path := writeFixture(t)
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a.snap"), filepath.Join(dir, "b.snap")
+	var out, errBuf bytes.Buffer
+	if err := run([]string{"-data", path, "-k", "4", "-tq", "0.95", "-normalize", "-index", "0", "-save", a}, &out, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-load", a, "-index", "0", "-save", b}, &out, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	orig, err := snapshot.LoadFile(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := snapshot.LoadFile(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(orig.NormStats) != 4 || !orig.Provenance.Normalized {
+		t.Fatalf("original: %d ranges, normalized=%v", len(orig.NormStats), orig.Provenance.Normalized)
+	}
+	if !reflect.DeepEqual(cp.NormStats, orig.NormStats) || cp.Provenance != orig.Provenance {
+		t.Fatalf("copy lost normalization: ranges %v (want %v), provenance %+v (want %+v)",
+			cp.NormStats, orig.NormStats, cp.Provenance, orig.Provenance)
+	}
+}
+
+// TestRunNormalizedPointRescaled mirrors hosserve's
+// TestNormalizeRescalesAdHocPoints: a raw-unit copy of an inlier row
+// queried against normalized data (-normalize, or -load of a
+// normalized snapshot) lands on that row, so it must not be outlying
+// in every subspace — which is what an unscaled raw point would be.
+func TestRunNormalizedPointRescaled(t *testing.T) {
+	path := writeFixture(t)
+	snapPath := filepath.Join(t.TempDir(), "norm.snap")
+	point := rawRow(t, path, 50) // planted outliers are the low rows
+	var fresh, errBuf bytes.Buffer
+	if err := run([]string{"-data", path, "-k", "4", "-tq", "0.95", "-normalize", "-all",
+		"-point", point, "-save", snapPath}, &fresh, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	var restored bytes.Buffer
+	if err := run([]string{"-load", snapPath, "-all", "-point", point}, &restored, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	for name, out := range map[string]string{"-normalize": fresh.String(), "-load": restored.String()} {
+		if strings.Contains(out, "full outlying set: 15 subspaces") {
+			t.Fatalf("%s: raw-unit point evaluated unscaled against normalized data:\n%s", name, out)
+		}
 	}
 }

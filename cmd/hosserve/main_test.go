@@ -108,32 +108,33 @@ func TestSetupSharded(t *testing.T) {
 	}
 }
 
+// TestSetupStateRoundTrip: the preprocessed state (threshold and
+// learned priors) survives a restart through the -data-dir snapshot —
+// the restarted server needs no -t/-tq/-samples, reports the same
+// threshold and answers identically.
 func TestSetupStateRoundTrip(t *testing.T) {
-	path := writeFixture(t)
-	state := filepath.Join(t.TempDir(), "state.json")
-	var errBuf bytes.Buffer
-	cc, err := parseFlags([]string{"-data", path, "-k", "4", "-tq", "0.95"}, &errBuf)
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	h1 := setupFromArgs(t, "-data", writeFixture(t), "-k", "4", "-tq", "0.95", "-samples", "8", "-data-dir", dir)
+	if rec := doReq(t, h1, "POST", "/datasets/default/save", ""); rec.Code != http.StatusOK {
+		t.Fatalf("save: %d (%s)", rec.Code, rec.Body.String())
 	}
-	_, _, m, err := setup(cc, &errBuf)
-	if err != nil {
-		t.Fatal(err)
+	h2 := setupFromArgs(t, "-data-dir", dir)
+	threshold := func(h http.Handler) float64 {
+		var health struct {
+			Threshold float64 `json:"threshold"`
+		}
+		if err := json.Unmarshal(doReq(t, h, "GET", "/healthz", "").Body.Bytes(), &health); err != nil {
+			t.Fatal(err)
+		}
+		return health.Threshold
 	}
-	if err := m.SaveStateFile(state); err != nil {
-		t.Fatal(err)
+	if t1, t2 := threshold(h1), threshold(h2); t1 <= 0 || t1 != t2 {
+		t.Fatalf("threshold across restart: %v then %v", t1, t2)
 	}
-	// A second server imports the state instead of re-learning; no -t
-	// or -tq needed.
-	h := setupFromArgs(t, "-data", path, "-k", "4", "-load-state", state)
-	req := httptest.NewRequest("GET", "/state", nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("state after import: status %d", rec.Code)
-	}
-	if m2Threshold := rec.Body.String(); !strings.Contains(m2Threshold, "threshold") {
-		t.Fatalf("state body: %s", m2Threshold)
+	query := `{"index": 0, "include_all": true}`
+	want := zeroElapsed(doReq(t, h1, "POST", "/query", query).Body.String())
+	if got := zeroElapsed(doReq(t, h2, "POST", "/query", query).Body.String()); got != want {
+		t.Fatalf("restored server answers differently:\n before: %s\n after:  %s", want, got)
 	}
 }
 
@@ -166,37 +167,6 @@ func TestNormalizeRescalesAdHocPoints(t *testing.T) {
 	// outlier in all 2^d−1 subspaces.
 	if resp.OutlyingCount == 15 {
 		t.Fatal("raw-unit point evaluated unscaled against normalized data")
-	}
-}
-
-func TestLoadStateRejectsConflictingFlags(t *testing.T) {
-	path := writeFixture(t)
-	state := filepath.Join(t.TempDir(), "state.json")
-	var errBuf bytes.Buffer
-	cc, err := parseFlags([]string{"-data", path, "-k", "4", "-tq", "0.95"}, &errBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, m, err := setup(cc, &errBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SaveStateFile(state); err != nil {
-		t.Fatal(err)
-	}
-	for _, extra := range [][]string{
-		{"-tq", "0.99"},
-		{"-t", "3"},
-		{"-samples", "10"},
-	} {
-		args := append([]string{"-data", path, "-k", "4", "-load-state", state}, extra...)
-		cc, err := parseFlags(args, &errBuf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, _, err := setup(cc, &errBuf); err == nil || !strings.Contains(err.Error(), "conflicts") {
-			t.Errorf("args %v: want conflict error, got %v", extra, err)
-		}
 	}
 }
 

@@ -1,42 +1,23 @@
 package core
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-)
+import "fmt"
 
-// State is the serializable outcome of preprocessing: the resolved
-// threshold and the learned priors. Persisting it lets a service
-// restart (or a different process) answer queries without re-running
-// the quantile resolution and the §3.2 learning phase, which dominate
-// startup cost on large datasets.
+// State is the outcome of preprocessing: the resolved threshold and
+// the learned priors. It is the in-memory hand-off to the snapshot
+// codec (internal/snapshot), which persists it beside the dataset,
+// configuration and index, so a restart answers queries without
+// re-running the quantile resolution and the §3.2 learning phase,
+// which dominate startup cost on large datasets.
 type State struct {
-	// Version guards the format for forward compatibility.
-	Version int `json:"version"`
-	// Dim is the dataset dimensionality the priors were learned for.
-	Dim int `json:"dim"`
-	// K and Metric echo the OD configuration so mismatched reuse is
-	// rejected.
-	K      int    `json:"k"`
-	Metric string `json:"metric"`
 	// Threshold is the resolved T.
-	Threshold float64 `json:"threshold"`
+	Threshold float64
 	// PUp/PDown are the query priors (index 0 unused).
-	PUp   []float64 `json:"p_up"`
-	PDown []float64 `json:"p_down"`
+	PUp   []float64
+	PDown []float64
 	// Learned records whether the priors came from learning (vs
 	// uniform).
-	Learned bool `json:"learned"`
+	Learned bool
 }
-
-const stateVersion = 1
-
-// StateVersion is the current State format version — exported so
-// other serialization layers (internal/snapshot) can mint State
-// values ImportState will accept.
-const StateVersion = stateVersion
 
 // ExportState captures the preprocessed state. It fails if Preprocess
 // has not run yet.
@@ -45,10 +26,6 @@ func (m *Miner) ExportState() (*State, error) {
 		return nil, fmt.Errorf("core: ExportState before Preprocess")
 	}
 	return &State{
-		Version:   stateVersion,
-		Dim:       m.ds.Dim(),
-		K:         m.cfg.K,
-		Metric:    m.cfg.Metric.String(),
 		Threshold: m.threshold,
 		PUp:       append([]float64(nil), m.priors.PUp...),
 		PDown:     append([]float64(nil), m.priors.PDown...),
@@ -57,23 +34,11 @@ func (m *Miner) ExportState() (*State, error) {
 }
 
 // ImportState installs a previously exported state, skipping
-// threshold resolution and learning on the next query. The state must
-// match the miner's dataset dimensionality, K and metric.
+// threshold resolution and learning on the next query. The priors
+// must cover the miner's dataset dimensionality.
 func (m *Miner) ImportState(s *State) error {
 	if s == nil {
 		return fmt.Errorf("core: nil state")
-	}
-	if s.Version != stateVersion {
-		return fmt.Errorf("core: state version %d, want %d", s.Version, stateVersion)
-	}
-	if s.Dim != m.ds.Dim() {
-		return fmt.Errorf("core: state for d=%d, dataset has d=%d", s.Dim, m.ds.Dim())
-	}
-	if s.K != m.cfg.K {
-		return fmt.Errorf("core: state for K=%d, miner configured with K=%d", s.K, m.cfg.K)
-	}
-	if s.Metric != m.cfg.Metric.String() {
-		return fmt.Errorf("core: state for metric %s, miner uses %s", s.Metric, m.cfg.Metric)
 	}
 	if s.Threshold <= 0 {
 		return fmt.Errorf("core: state threshold %v must be positive", s.Threshold)
@@ -85,55 +50,12 @@ func (m *Miner) ImportState(s *State) error {
 	if err := priors.Validate(); err != nil {
 		return fmt.Errorf("core: state priors: %w", err)
 	}
-	if priors.Dim() != s.Dim {
-		return fmt.Errorf("core: state priors cover %d layers, want %d", priors.Dim(), s.Dim)
+	if priors.Dim() != m.ds.Dim() {
+		return fmt.Errorf("core: state priors cover %d layers, dataset has d=%d", priors.Dim(), m.ds.Dim())
 	}
 	m.threshold = s.Threshold
 	m.priors = priors
 	m.learned = s.Learned
 	m.preprocessed = true
 	return nil
-}
-
-// WriteState serialises the preprocessed state as JSON.
-func (m *Miner) WriteState(w io.Writer) error {
-	s, err := m.ExportState()
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// ReadState parses a JSON state and installs it.
-func (m *Miner) ReadState(r io.Reader) error {
-	var s State
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return fmt.Errorf("core: decoding state: %w", err)
-	}
-	return m.ImportState(&s)
-}
-
-// SaveStateFile writes the state to a file.
-func (m *Miner) SaveStateFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := m.WriteState(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadStateFile reads and installs a state file.
-func (m *Miner) LoadStateFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return m.ReadState(f)
 }

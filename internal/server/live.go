@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dataio"
 	"repro/internal/snapshot"
 	"repro/internal/wal"
 )
@@ -60,9 +59,9 @@ type view struct {
 	miner *core.Miner
 	pool  *core.EvaluatorPool
 	cache *resultCache
-	// transform mirrors dataset.transform (see there).
-	transform func([]float64) []float64
-	epoch     int64
+	// norm mirrors dataset.normStats (see there).
+	norm  []snapshot.ColumnRange
+	epoch int64
 	// ids[i] is the stable ID of dataset row i — ascending, and what
 	// delete-by-range addresses. nextID is the next ID an append takes.
 	// stamps[i] is row i's ingest time (Unix nanoseconds), parallel to
@@ -76,7 +75,7 @@ type view struct {
 
 // resolveQueryTarget turns a request's (index, point) pair — exactly
 // one must be set — into the evaluation point and self-exclusion
-// index, applying the dataset's point transform to ad-hoc vectors. It
+// index, rescaling ad-hoc vectors of a normalized dataset. It
 // is the single definition of request-level target validation, shared
 // by /query and every /batch item. A non-empty errMsg is a client
 // error.
@@ -95,8 +94,8 @@ func (v *view) resolveQueryTarget(index *int, point []float64) (pt []float64, ex
 		if len(point) != ds.Dim() {
 			return nil, -1, fmt.Sprintf("point has %d dims, dataset has %d", len(point), ds.Dim())
 		}
-		if v.transform != nil {
-			point = v.transform(point)
+		if len(v.norm) > 0 {
+			point = snapshot.NormalizePoint(point, v.norm)
 		}
 		return point, -1, ""
 	default:
@@ -184,10 +183,10 @@ func (s *Server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 	// Transforming here — before the queue — keeps per-request work out
 	// of the serialized drain.
 	rows := req.Rows
-	if d.transform != nil {
+	if len(d.normStats) > 0 {
 		rows = make([][]float64, len(req.Rows))
 		for i, row := range req.Rows {
-			rows[i] = d.transform(row)
+			rows[i] = snapshot.NormalizePoint(row, d.normStats)
 		}
 	}
 
@@ -504,7 +503,7 @@ func (s *Server) persistLocked(d *dataset, v *view) (string, int64, error) {
 	}
 	snap.NormStats = d.normStats
 	path := filepath.Join(s.opts.DataDir, d.name+snapExt)
-	if err := dataio.SaveSnapshot(path, snap); err != nil {
+	if err := snapshot.SaveFile(path, snap); err != nil {
 		return "", 0, err
 	}
 	st, err := os.Stat(path)
@@ -512,7 +511,7 @@ func (s *Server) persistLocked(d *dataset, v *view) (string, int64, error) {
 		return "", 0, err
 	}
 	if s.walActive() {
-		crc, err := dataio.FileCRC32(path)
+		crc, err := snapshot.FileCRC32(path)
 		if err != nil {
 			return "", 0, err
 		}
@@ -596,7 +595,7 @@ func (s *Server) attachWALLocked(d *dataset, snapPath string) (int, error) {
 	if _, err := os.Stat(wp); errors.Is(err, os.ErrNotExist) {
 		return 0, nil
 	}
-	crc, err := dataio.FileCRC32(snapPath)
+	crc, err := snapshot.FileCRC32(snapPath)
 	if err != nil {
 		return 0, err
 	}

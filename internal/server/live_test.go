@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dataio"
+	"repro/internal/snapshot"
 )
 
 // Tests for the live-mutation surface: streaming appends, id-range
@@ -44,7 +44,7 @@ func appendJSON(n, d int, seed int64) string {
 // and the number of replayed records.
 func restartFromSnapshot(t *testing.T, dir string, opts Options) (*Server, int) {
 	t.Helper()
-	snap, err := dataio.LoadSnapshot(filepath.Join(dir, "default.snap"))
+	snap, err := snapshot.LoadFile(filepath.Join(dir, "default.snap"))
 	if err != nil {
 		t.Fatalf("loading default.snap: %v", err)
 	}
@@ -54,7 +54,6 @@ func restartFromSnapshot(t *testing.T, dir string, opts Options) (*Server, int) 
 	}
 	opts.DataDir = dir
 	opts.NormStats = snap.NormStats
-	opts.PointTransform = transformFromNorm(snap.NormStats)
 	s, err := New(m, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -51,18 +51,15 @@ type dataset struct {
 	// entry and dies with it, which is what makes evict + reload a
 	// clean breaker reset — a recovered dataset re-registered under
 	// the same name starts closed with a full concurrency limit.
-	guard *overload.Guard
-	// transform maps ad-hoc query vectors into the dataset's
-	// coordinate space (nil = identity); only the default dataset,
-	// whose owner may have normalized it at startup, carries one.
-	transform func([]float64) []float64
-	created   time.Time
+	guard   *overload.Guard
+	created time.Time
 	// prov records where the dataset came from; it travels into
 	// snapshots written by POST /datasets/{name}/save.
 	prov snapshot.Provenance
-	// normStats is the raw per-column [Min,Max] behind transform when
-	// the dataset was min-max normalized (nil otherwise); it rides
-	// into snapshots so a restore can rebuild the transform.
+	// normStats is the raw per-column [Min,Max] the dataset was
+	// min-max normalized with (nil when raw). Ad-hoc query vectors and
+	// appended rows are rescaled by it, and it rides into snapshots so
+	// a restore rescales the same way.
 	normStats []snapshot.ColumnRange
 
 	// mut serializes mutations — append, delete, compaction, save,
@@ -438,7 +435,7 @@ func (s *Server) buildDataset(req *loadRequest) (*dataset, error) {
 		return nil, err
 	}
 	prov := snapshot.Provenance{Generator: req.Gen, Seed: req.Seed, CreatedUnix: time.Now().Unix()}
-	return s.newDatasetEntry(req.Name, m, nil, nil, prov), nil
+	return s.newDatasetEntry(req.Name, m, nil, prov), nil
 }
 
 // newDatasetEntry wraps a preprocessed miner in its serving state at
@@ -446,11 +443,10 @@ func (s *Server) buildDataset(req *loadRequest) (*dataset, error) {
 // the load time: their true ingest times are unknown, and stamping
 // "now" is the conservative choice — retention can never expire a row
 // earlier than its policy allows, only later.
-func (s *Server) newDatasetEntry(name string, m *core.Miner, transform func([]float64) []float64, norm []snapshot.ColumnRange, prov snapshot.Provenance) *dataset {
+func (s *Server) newDatasetEntry(name string, m *core.Miner, norm []snapshot.ColumnRange, prov snapshot.Provenance) *dataset {
 	d := &dataset{
 		name:      name,
 		guard:     overload.NewGuard(s.guardConfig()),
-		transform: transform,
 		created:   time.Now(),
 		prov:      prov,
 		normStats: norm,
@@ -475,14 +471,14 @@ func (s *Server) newDatasetEntry(name string, m *core.Miner, transform func([]fl
 // sweeper's prefix-expiry relies on it).
 func (s *Server) newView(d *dataset, m *core.Miner, epoch int64, ids, stamps []int64, nextID int64) *view {
 	return &view{
-		miner:     m,
-		pool:      m.NewEvaluatorPool(),
-		cache:     newResultCache(s.opts.CacheSize),
-		transform: d.transform,
-		epoch:     epoch,
-		ids:       ids,
-		stamps:    stamps,
-		nextID:    nextID,
+		miner:  m,
+		pool:   m.NewEvaluatorPool(),
+		cache:  newResultCache(s.opts.CacheSize),
+		norm:   d.normStats,
+		epoch:  epoch,
+		ids:    ids,
+		stamps: stamps,
+		nextID: nextID,
 	}
 }
 

@@ -202,6 +202,9 @@ func TestLoadDatasetBounds(t *testing.T) {
 	<-s.loadSem
 }
 
+// TestStatePerDataset: every registry entry carries its own
+// preprocessed state; GET /datasets reports each entry's resolved
+// threshold.
 func TestStatePerDataset(t *testing.T) {
 	s := newTestServer(t, Options{})
 	h := s.Handler()
@@ -209,16 +212,18 @@ func TestStatePerDataset(t *testing.T) {
 	if rec := do(t, h, "POST", "/datasets/load", body, nil); rec.Code != http.StatusCreated {
 		t.Fatalf("load status %d", rec.Code)
 	}
-	var def, alt struct {
-		Threshold float64 `json:"threshold"`
+	var list listDatasetsResponse
+	do(t, h, "GET", "/datasets", "", &list)
+	thresholds := map[string]float64{}
+	for _, d := range list.Datasets {
+		thresholds[d.Name] = d.Threshold
 	}
-	do(t, h, "GET", "/state", "", &def)
-	do(t, h, "GET", "/state?dataset=alt", "", &alt)
-	if def.Threshold == 0 || alt.Threshold == 0 || def.Threshold == alt.Threshold {
-		t.Fatalf("per-dataset state thresholds: default %v, alt %v", def.Threshold, alt.Threshold)
+	def, alt := thresholds[DefaultDatasetName], thresholds["alt"]
+	if def == 0 || alt == 0 || def == alt {
+		t.Fatalf("per-dataset state thresholds: default %v, alt %v", def, alt)
 	}
-	if rec := do(t, h, "GET", "/state?dataset=ghost", "", nil); rec.Code != http.StatusNotFound {
-		t.Fatalf("unknown dataset state status %d", rec.Code)
+	if def != s.def.view().miner.Threshold() {
+		t.Fatalf("default threshold %v, miner has %v", def, s.def.view().miner.Threshold())
 	}
 }
 

@@ -8,7 +8,6 @@
 //	POST /scan       bounded whole-dataset sweep with severity ranking
 //	POST /jobs/scan  the same sweep as an async job (progress + polling)
 //	GET  /jobs/{id}  job status/progress/result; DELETE cancels
-//	GET  /state      export the preprocessed state (threshold + priors)
 //	GET  /healthz    liveness + dataset summary
 //	GET  /stats      query counts, cache hit rate, latency percentiles
 //
@@ -77,14 +76,6 @@ type Options struct {
 	// LatencyWindow is the number of recent query latencies kept for
 	// percentiles (default 1024).
 	LatencyWindow int
-	// PointTransform, when set, maps every ad-hoc /query vector into
-	// the dataset's coordinate space before evaluation — e.g. the
-	// min-max rescaling hosserve installs under -normalize, without
-	// which raw-unit client points would be compared against scaled
-	// data and report as outliers everywhere. It must be pure and
-	// must not retain or mutate its argument's backing array beyond
-	// returning it.
-	PointTransform func([]float64) []float64
 	// MaxCachedMasks caps the per-entry outlying-mask set the result
 	// cache pins (default 16384, ~64 KiB; negative = no cap). Larger
 	// sets are still answered and cached, but their full outlying set
@@ -184,10 +175,13 @@ type Options struct {
 	// Provenance describes where the default dataset came from, so
 	// saving it produces a snapshot that records its origin.
 	Provenance snapshot.Provenance
-	// NormStats is the raw per-column [Min,Max] behind PointTransform
-	// when the default dataset was min-max normalized. Set it together
-	// with PointTransform: it is what lets a snapshot of the default
-	// dataset carry the transform across a restart.
+	// NormStats is the raw per-column [Min,Max] the default dataset
+	// was min-max normalized with (nil when it is served in raw
+	// units). Ad-hoc /query vectors and appended rows arrive in raw
+	// units and are rescaled by it (snapshot.NormalizePoint) — without
+	// that, client points would be compared against scaled data and
+	// report as outliers everywhere — and it rides into snapshots of
+	// the default dataset so the rescaling survives a restart.
 	NormStats []snapshot.ColumnRange
 	// Logf, when set, receives debug-level serving events (abandoned
 	// scan outcomes, job lifecycle); nil discards them.
@@ -305,7 +299,7 @@ func New(m *core.Miner, opts Options) (*Server, error) {
 		Workers:    opts.JobWorkers,
 		ResultTTL:  opts.JobResultTTL,
 	})
-	s.def = s.newDatasetEntry(DefaultDatasetName, m, opts.PointTransform, opts.NormStats, opts.Provenance)
+	s.def = s.newDatasetEntry(DefaultDatasetName, m, opts.NormStats, opts.Provenance)
 	s.reg = newRegistry(s.def, opts.MaxDatasets)
 	s.mux.HandleFunc("POST /query", s.handleQuery)
 	s.mux.HandleFunc("POST /batch", s.handleBatch)
@@ -314,7 +308,6 @@ func New(m *core.Miner, opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /jobs", s.handleListJobs)
 	s.mux.HandleFunc("GET /jobs/{id}", s.handleGetJob)
 	s.mux.HandleFunc("DELETE /jobs/{id}", s.handleCancelJob)
-	s.mux.HandleFunc("GET /state", s.handleState)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.HandleFunc("GET /datasets", s.handleListDatasets)
@@ -809,21 +802,6 @@ func (s *Server) scanInterrupted(w http.ResponseWriter, err error) {
 		return
 	}
 	s.clientGone(w, "scan")
-}
-
-// handleState exports the preprocessed state of one dataset
-// (?dataset=name; default when absent).
-func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
-	d, ok := s.resolveDataset(w, r.URL.Query().Get("dataset"))
-	if !ok {
-		return
-	}
-	st, err := d.view().miner.ExportState()
-	if err != nil {
-		s.error(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	s.writeJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

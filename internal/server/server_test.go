@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/overload"
+	"repro/internal/snapshot"
 )
 
 // occupySlot takes one admission slot of the dataset's guard directly
@@ -504,23 +505,6 @@ func TestScanConcurrencyLimit(t *testing.T) {
 	release()
 }
 
-func TestStateEndpoint(t *testing.T) {
-	s := newTestServer(t, Options{})
-	var st core.State
-	rec := do(t, s.Handler(), "GET", "/state", "", &st)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-	}
-	if st.Threshold <= 0 || st.Dim != 5 || st.K != 4 {
-		t.Fatalf("state = %+v", st)
-	}
-	// The exported state must round-trip into a fresh miner.
-	m2 := newTestMiner(t)
-	if err := m2.ImportState(&st); err != nil {
-		t.Fatalf("re-importing served state: %v", err)
-	}
-}
-
 func TestHealthz(t *testing.T) {
 	s := newTestServer(t, Options{})
 	var h healthResponse
@@ -668,25 +652,60 @@ func TestOversizedMaskSetNotPinned(t *testing.T) {
 	}
 }
 
+// TestPointTransformApplied: with Options.NormStats set, an ad-hoc
+// point is rescaled exactly once before evaluation, and a dataset-row
+// query (already in dataset space) never is. A reference server over
+// the same data without NormStats is the oracle. The ranges make the
+// rescaling a shift by 1000, so every extra or missing application
+// moves the point far from the data.
 func TestPointTransformApplied(t *testing.T) {
-	m := newTestMiner(t)
-	calls := 0
-	s, err := New(m, Options{PointTransform: func(p []float64) []float64 {
-		calls++
-		return p
-	}})
-	if err != nil {
-		t.Fatal(err)
+	const shift = 1000
+	d := newTestMiner(t).Dataset().Dim()
+	norm := make([]snapshot.ColumnRange, d)
+	for j := range norm {
+		norm[j] = snapshot.ColumnRange{Min: -shift, Max: 1 - shift} // v -> v + shift
 	}
-	buf, _ := json.Marshal(map[string]any{"point": m.Dataset().Point(5)})
-	do(t, s.Handler(), "POST", "/query", string(buf), nil)
-	if calls != 1 {
-		t.Fatalf("transform called %d times for one ad-hoc query", calls)
+	scaled := newTestServer(t, Options{NormStats: norm, CacheSize: -1}).Handler()
+	ref := newTestServer(t, Options{CacheSize: -1}).Handler()
+
+	query := func(h http.Handler, body string) queryResponse {
+		t.Helper()
+		var resp queryResponse
+		if rec := do(t, h, "POST", "/query", body, &resp); rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d (%s)", body, rec.Code, rec.Body.String())
+		}
+		return resp
 	}
-	// Dataset-row queries are already in dataset space: no transform.
-	do(t, s.Handler(), "POST", "/query", `{"index": 5}`, nil)
-	if calls != 1 {
-		t.Fatalf("transform called on an index query")
+	answer := func(h http.Handler, body string) string {
+		t.Helper()
+		resp := query(h, body)
+		return fmt.Sprintf("outlier=%v count=%d minimal=%v evals=%d",
+			resp.IsOutlier, resp.OutlyingCount, resp.Minimal, resp.ODEvaluations)
+	}
+	pointBody := func(p []float64) string {
+		buf, _ := json.Marshal(map[string]any{"point": p})
+		return string(buf)
+	}
+	row := newTestMiner(t).Dataset().Point(50)
+	raw := make([]float64, d)
+	for j, v := range row {
+		raw[j] = v - shift
+	}
+	once := snapshot.NormalizePoint(raw, norm)
+	twice := snapshot.NormalizePoint(once, norm)
+	want := answer(ref, pointBody(once))
+	// The probes must tell zero, one and two rescalings apart.
+	if want == answer(ref, pointBody(raw)) || want == answer(ref, pointBody(twice)) {
+		t.Fatalf("point probe cannot distinguish rescaling counts: %s", want)
+	}
+	if query(ref, `{"index": 50}`).OutlyingCount == query(ref, pointBody(snapshot.NormalizePoint(row, norm))).OutlyingCount {
+		t.Fatal("index probe cannot distinguish a rescaled row")
+	}
+	if got := answer(scaled, pointBody(raw)); got != want {
+		t.Fatalf("ad-hoc point not rescaled exactly once:\n got  %s\n want %s", got, want)
+	}
+	if got, want := answer(scaled, `{"index": 50}`), answer(ref, `{"index": 50}`); got != want {
+		t.Fatalf("index query rescaled:\n got  %s\n want %s", got, want)
 	}
 }
 

@@ -102,6 +102,35 @@ type ColumnRange struct {
 	Min, Max float64
 }
 
+// Normalize min-max rescales every column of ds to [0,1] (a new
+// Dataset; constant columns map to 0) and returns the raw ranges a
+// snapshot records as NormStats.
+func Normalize(ds *vector.Dataset) (*vector.Dataset, []ColumnRange) {
+	norm, stats := ds.MinMaxNormalize()
+	ranges := make([]ColumnRange, len(stats))
+	for j, st := range stats {
+		ranges[j] = ColumnRange{Min: st.Min, Max: st.Max}
+	}
+	return norm, ranges
+}
+
+// NormalizePoint maps a raw-unit point into the coordinate space of a
+// dataset normalized with ranges norm, by the same rescaling Normalize
+// applies to the dataset: constant columns map to 0 and values outside
+// a range extrapolate linearly. The result has len(p); coordinates
+// without a range map to 0, so callers check dimensions themselves.
+func NormalizePoint(p []float64, norm []ColumnRange) []float64 {
+	out := make([]float64, len(p))
+	for j, v := range p {
+		if j < len(norm) {
+			if span := norm[j].Max - norm[j].Min; span > 0 {
+				out[j] = (v - norm[j].Min) / span
+			}
+		}
+	}
+	return out
+}
+
 // Snapshot is the in-memory form of one snapshot file.
 type Snapshot struct {
 	// Name is the dataset's registry name (also the conventional file
@@ -123,8 +152,8 @@ type Snapshot struct {
 	Index *core.IndexSnapshot
 	// NormStats is the per-column raw [Min, Max] behind a min-max
 	// normalized dataset (len Dim), empty when the dataset is served
-	// in raw units. Restorers use it to rebuild the ad-hoc-point
-	// transform.
+	// in raw units. It is the only record of normalization: restorers
+	// map raw-unit points into the dataset's space with NormalizePoint.
 	NormStats []ColumnRange
 }
 
@@ -295,6 +324,22 @@ func LoadFile(path string) (*Snapshot, error) {
 	return s, nil
 }
 
+// FileCRC32 returns the CRC-32 (IEEE) of the file's bytes, streamed —
+// the binding key a WAL header (wal.Header.BaseCRC) uses to tie a
+// delta log to the exact base snapshot it extends.
+func FileCRC32(path string) (uint32, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	h := crc32.NewIEEE()
+	if _, err := io.Copy(h, f); err != nil {
+		return 0, err
+	}
+	return h.Sum32(), nil
+}
+
 // ---- payload encoding ----
 
 // Section presence flags.
@@ -450,14 +495,7 @@ func decodePayload(payload []byte) (*Snapshot, error) {
 			return nil, err
 		}
 		s.Config = cfg
-		st := &core.State{
-			Version:   core.StateVersion,
-			Dim:       dim,
-			K:         cfg.K,
-			Metric:    cfg.Metric.String(),
-			Threshold: d.f64(),
-			Learned:   d.bool(),
-		}
+		st := &core.State{Threshold: d.f64(), Learned: d.bool()}
 		st.PUp = d.f64s()
 		st.PDown = d.f64s()
 		if d.err != nil {

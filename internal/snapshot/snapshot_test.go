@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/shard"
+	"repro/internal/vector"
 )
 
 func testMiner(t *testing.T, cfg core.Config) *core.Miner {
@@ -351,5 +352,71 @@ func TestNormStatsRoundTripAndValidation(t *testing.T) {
 	rehash(mut)
 	if _, err := Read(bytes.NewReader(mut)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("NaN coordinate: %v", err)
+	}
+}
+
+// TestSnapshotFileRoundTrip covers the path-level file API: SaveFile
+// and LoadFile round trip, a CSV handed to LoadFile is refused with
+// the typed error, and FileCRC32 — the WAL's base-snapshot binding
+// key — is the CRC of the bytes SaveFile wrote.
+func TestSnapshotFileRoundTrip(t *testing.T) {
+	ds, _ := vector.FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	if err := ds.SetColumns([]string{"x", "y"}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := FromDataset("pair", Provenance{Source: "unit"}, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "pair.snap")
+	if err := SaveFile(path, s); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Name != "pair" || back.Dataset.N() != 3 || back.Dataset.ColumnName(1) != "y" {
+		t.Fatalf("round trip lost data: %+v", back)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if crc, err := FileCRC32(path); err != nil || crc != crc32.ChecksumIEEE(raw) {
+		t.Fatalf("FileCRC32 = %#x, %v; want %#x", crc, err, crc32.ChecksumIEEE(raw))
+	}
+	if _, err := FileCRC32(filepath.Join(dir, "missing.snap")); err == nil {
+		t.Fatal("FileCRC32 of a missing file succeeded")
+	}
+	csvPath := filepath.Join(dir, "data.csv")
+	if err := os.WriteFile(csvPath, []byte("x,y\n1,2\n3,4\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFile(csvPath); !errors.Is(err, ErrSnapshot) {
+		t.Fatalf("LoadFile(csv): err = %v, want a typed snapshot error", err)
+	}
+}
+
+// TestNormalizePoint: a raw dataset row mapped through NormalizePoint
+// lands bit for bit on its Normalize-d row, constant columns map to 0,
+// and out-of-range values extrapolate linearly.
+func TestNormalizePoint(t *testing.T) {
+	raw, _ := vector.FromRows([][]float64{{0, 5, 2}, {10, 5, 14}, {3.7, 5, 9.1}})
+	norm, ranges := Normalize(raw)
+	if want := []ColumnRange{{0, 10}, {5, 5}, {2, 14}}; !reflect.DeepEqual(ranges, want) {
+		t.Fatalf("ranges = %v, want %v", ranges, want)
+	}
+	for i := 0; i < raw.N(); i++ {
+		if got := NormalizePoint(raw.Point(i), ranges); !reflect.DeepEqual(got, norm.Point(i)) {
+			t.Fatalf("row %d: NormalizePoint = %v, Normalize = %v", i, got, norm.Point(i))
+		}
+	}
+	if got := NormalizePoint([]float64{5, 5, 8}, ranges); math.Abs(got[0]-0.5) > 1e-12 || got[1] != 0 || math.Abs(got[2]-0.5) > 1e-12 {
+		t.Fatalf("NormalizePoint(5,5,8) = %v", got)
+	}
+	if got := NormalizePoint([]float64{20, 0, -10}, ranges); got[0] != 2 || got[1] != 0 || got[2] != -1 {
+		t.Fatalf("NormalizePoint out of range = %v, want [2 0 -1]", got)
 	}
 }

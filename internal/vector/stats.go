@@ -125,22 +125,3 @@ func (ds *Dataset) ZScoreNormalize() (*Dataset, []ColumnStats) {
 	}
 	return out, stats
 }
-
-// NormalizePoint applies the same min-max rescaling captured by stats
-// to an external point (e.g. a query that was not part of the
-// dataset). Values outside the observed range extrapolate linearly.
-func NormalizePoint(p []float64, stats []ColumnStats) ([]float64, error) {
-	if len(p) != len(stats) {
-		return nil, fmt.Errorf("vector: point has %d dims, stats %d", len(p), len(stats))
-	}
-	out := make([]float64, len(p))
-	for j, v := range p {
-		span := stats[j].Max - stats[j].Min
-		if span > 0 {
-			out[j] = (v - stats[j].Min) / span
-		} else {
-			out[j] = 0
-		}
-	}
-	return out, nil
-}
