@@ -219,13 +219,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 }
 
 func runScan(w, errw io.Writer, ds *vector.Dataset, m *core.Miner, top, workers int, progress bool) error {
-	opts := core.ScanOptions{SortBySeverity: true, MaxResults: top}
+	opts := core.ScanOptions{SortBySeverity: true, MaxResults: top, Workers: workers}
 	if progress {
 		opts.OnProgress = progressPrinter(errw)
 	}
-	// ScanAllParallelContext answers identically to ScanAll at any
-	// worker count; the fan-out only changes wall time.
-	hits, err := m.ScanAllParallelContext(context.Background(), opts, workers)
+	hits, err := m.ScanAll(context.Background(), opts)
 	if progress {
 		// Terminate the \r display before anything else writes to
 		// stderr — including the error report below.

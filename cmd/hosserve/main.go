@@ -17,8 +17,9 @@
 // README.md for a curl transcript):
 //
 //	POST /query          {"index": 3} or {"point": [..]}, optional "dataset"
-//	POST /scan           {"max_results": 10, ...}, optional "dataset"
-//	POST /jobs/scan      the same body, run asynchronously → job id
+//	POST /scan           {"max_results": 10, ...}, optional "dataset";
+//	                     runs as a scan job and waits for it
+//	POST /jobs/scan      the same body, without waiting → job id
 //	GET  /jobs/{id}      poll job status/progress; DELETE cancels
 //	POST /batch          {"items": [...]}, optional "dataset"
 //	GET  /datasets       registry listing with shard topology
@@ -203,14 +204,14 @@ func parseFlags(args []string, stderr io.Writer) (*cliConfig, error) {
 	fs.DurationVar(&cc.srv.RetentionInterval, "retention-interval", 0, "cadence of the background retention sweeper (default 30s)")
 	fs.IntVar(&cc.srv.CacheSize, "cache", 0, "LRU result-cache entries (0 = default 1024, negative disables)")
 	fs.DurationVar(&cc.srv.QueryTimeout, "query-timeout", 0, "per-query deadline (default 10s)")
-	fs.DurationVar(&cc.srv.ScanTimeout, "scan-timeout", 0, "per-scan deadline (default 2m)")
+	fs.DurationVar(&cc.srv.ScanTimeout, "scan-timeout", 0, "POST /scan deadline, queue wait included (default 2m)")
 	fs.Int64Var(&cc.srv.MaxBodyBytes, "max-body", 0, "request body limit in bytes (default 1 MiB)")
-	fs.IntVar(&cc.srv.ScanWorkers, "scan-workers", 0, "scan worker pool size (default GOMAXPROCS)")
+	fs.IntVar(&cc.srv.ScanWorkers, "scan-workers", 0, "per-scan fan-out (default GOMAXPROCS)")
 	fs.IntVar(&cc.srv.MaxScanResults, "max-scan-results", 0, "cap on hits per /scan (default 1000)")
 	fs.IntVar(&cc.srv.MaxConcurrentQueries, "max-queries", 0, "cap on concurrently computing queries (default 4x GOMAXPROCS)")
 	fs.IntVar(&cc.srv.MaxDatasets, "max-datasets", 0, "cap on registry size incl. the startup dataset (default 8)")
-	fs.IntVar(&cc.srv.JobQueueDepth, "job-queue", 0, "async scan-job queue depth; a full queue answers 429 + Retry-After (default 8)")
-	fs.IntVar(&cc.srv.JobWorkers, "job-workers", 0, "async scan-job worker pool size (default 1)")
+	fs.IntVar(&cc.srv.JobQueueDepth, "job-queue", 0, "job queue depth, shared by /scan, /jobs/scan and compaction; a full queue answers 429 + Retry-After (default 8)")
+	fs.IntVar(&cc.srv.JobWorkers, "job-workers", 0, "job worker pool size: how many scans run at once (default 1)")
 	fs.DurationVar(&cc.srv.JobResultTTL, "job-ttl", 0, "retention of finished async job results (default 15m)")
 	fs.DurationVar(&cc.srv.JobTimeout, "job-timeout", 0, "runaway backstop per async job (default 30m, negative disables)")
 	fs.DurationVar(&cc.jobDrain, "job-drain", 30*time.Second, "on shutdown, how long queued/running async jobs may finish before being cancelled")
@@ -420,14 +421,16 @@ func serve(ctx context.Context, addr string, srv *server.Server, jobDrain time.D
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	// Shutdown closes the listener immediately, so no new jobs can
-	// arrive even if draining in-flight requests blows the budget
-	// (a synchronous scan can legitimately outlive it — ScanTimeout
-	// defaults to 2min); the job drain must therefore run regardless
-	// of Shutdown's verdict, and on a budget of its own — sharing the
-	// HTTP window would hand a drain that waited out a slow request an
-	// already-expired context and cancel every job unconditionally.
-	// A drain cut short by its deadline has cancelled the stragglers;
-	// that is the graceful-exit contract, not a failure.
+	// arrive even if draining in-flight requests blows the budget (a
+	// POST /scan waits on its scan job, queue included, for up to
+	// ScanTimeout — 2min by default). The job drain must therefore run
+	// regardless of Shutdown's verdict, and on a budget of its own —
+	// sharing the HTTP window would hand a drain that waited out a slow
+	// request an already-expired context and cancel every job
+	// unconditionally. A /scan still waiting when the drain cancels its
+	// job is answered 503. A drain cut short by its deadline has
+	// cancelled the stragglers; that is the graceful-exit contract, not
+	// a failure.
 	shutdownErr := httpSrv.Shutdown(shutdownCtx)
 	drainCtx, drainCancel := context.WithTimeout(context.Background(), jobDrain)
 	defer drainCancel()

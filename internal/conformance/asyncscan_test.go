@@ -21,7 +21,7 @@ import (
 // Only elapsed_ms (wall time) may differ. This is the differential
 // spec guarding the jobs subsystem against answer drift: the job
 // runner threads a progress callback and its own context through
-// core.ScanAllParallelContext, and none of that may perturb results.
+// core.Miner.ScanAll, and none of that may perturb results.
 
 // scanBody mirrors the /scan JSON response for comparison; elapsed_ms
 // is deliberately omitted so DeepEqual ignores wall time.

@@ -300,7 +300,7 @@ func (a *resultArena) cloneFloats(src []float64) []float64 {
 // between items and mid-search (see SearchContext), so an abandoned
 // batch frees its workers promptly.
 //
-// Like ScanAllParallelContext, a first QueryBatch on a fresh Miner
+// Like ScanAll, a first QueryBatch on a fresh Miner
 // runs Preprocess lazily (from the calling goroutine, before workers
 // fan out); once the Miner is preprocessed, any number of QueryBatch,
 // QueryWith and scan calls may run concurrently.

@@ -57,7 +57,7 @@ func (m *Miner) NewWorkerEvaluator() (*od.Evaluator, error) {
 // Unlike OutlyingSubspaces, QueryWith never triggers lazy
 // preprocessing; it fails with ErrNotPreprocessed instead. Any number
 // of QueryWith calls may run concurrently with each other and with
-// ScanAllParallel.
+// ScanAll.
 //
 //hos:hotpath
 func (m *Miner) QueryWith(eval *od.Evaluator, point []float64, exclude int) (*QueryResult, error) {

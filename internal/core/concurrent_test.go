@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -151,16 +152,16 @@ func TestQueryWithConcurrent(t *testing.T) {
 	}
 }
 
-// TestScanAllParallelSingleWorkerConcurrent runs two workers=1 scans
-// at once; meant for -race. ScanAllParallel must use private state
-// even at workers=1 — the old ScanAll fallback shared the Miner's
-// evaluator and raced here.
+// TestScanAllParallelSingleWorkerConcurrent runs two Workers=1 scans
+// at once; meant for -race. ScanAll must use private state even at
+// one worker — a sequential loop over the Miner's own evaluator would
+// race here.
 func TestScanAllParallelSingleWorkerConcurrent(t *testing.T) {
 	m := newTestMiner(t, Config{K: 4, TQuantile: 0.9, Seed: 1})
 	if err := m.Preprocess(); err != nil {
 		t.Fatal(err)
 	}
-	want, err := m.ScanAll(ScanOptions{})
+	want, err := m.ScanAll(context.Background(), ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,13 +171,13 @@ func TestScanAllParallelSingleWorkerConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := m.ScanAllParallel(ScanOptions{}, 1)
+			got, err := m.ScanAll(context.Background(), ScanOptions{Workers: 1})
 			if err != nil {
 				errCh <- err
 				return
 			}
 			if len(got) != len(want) {
-				errCh <- fmt.Errorf("workers=1 scan found %d hits, sequential found %d", len(got), len(want))
+				errCh <- fmt.Errorf("workers=1 scan found %d hits, default fan-out found %d", len(got), len(want))
 			}
 		}()
 	}

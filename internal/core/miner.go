@@ -152,15 +152,15 @@ func (c *Config) validate(ds *vector.Dataset) error {
 // learning), then OutlyingSubspaces per query.
 //
 // Concurrency: a Miner is NOT safe for concurrent use through its
-// plain query methods — OutlyingSubspaces, OutlyingSubspacesOfPoint
-// and ScanAll share one od.Evaluator (whose k-NN searcher carries
-// mutable work counters) and one rand.Rand. After Preprocess (or
+// plain query methods — OutlyingSubspaces and OutlyingSubspacesOfPoint
+// share one od.Evaluator (whose k-NN searcher carries mutable work
+// counters) and one rand.Rand. After Preprocess (or
 // ImportState) has completed, all remaining Miner state — dataset,
 // X-tree, threshold, priors, configuration — is read-only, so any
 // number of goroutines may query concurrently PROVIDED each uses its
 // own evaluator: call QueryWith with an evaluator obtained from
-// NewWorkerEvaluator or an EvaluatorPool. ScanAllParallel follows the
-// same pattern internally. This is the contract internal/server is
+// NewWorkerEvaluator or an EvaluatorPool. ScanAll follows the same
+// pattern internally. This is the contract internal/server is
 // built on.
 type Miner struct {
 	cfg    Config

@@ -17,7 +17,7 @@ func TestScanAllFindsPlantedOutliers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := m.ScanAll(ScanOptions{})
+	hits, err := m.ScanAll(context.Background(), ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestScanAllSeverityOrderAndLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := m.ScanAll(ScanOptions{SortBySeverity: true, MaxResults: 3})
+	hits, err := m.ScanAll(context.Background(), ScanOptions{SortBySeverity: true, MaxResults: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,15 +76,17 @@ func TestScanAllSeverityOrderAndLimit(t *testing.T) {
 func TestScanAllValidation(t *testing.T) {
 	ds := plantedDataset(t, 55, 40, 3, subspace.New(0))
 	m, _ := NewMiner(ds, Config{K: 3, TQuantile: 0.9, Seed: 1})
-	if _, err := m.ScanAll(ScanOptions{MaxResults: -1}); err == nil {
-		t.Fatal("negative MaxResults accepted")
+	for _, workers := range []int{1, 2} {
+		if _, err := m.ScanAll(context.Background(), ScanOptions{MaxResults: -1, Workers: workers}); err == nil {
+			t.Fatalf("workers=%d: negative MaxResults accepted", workers)
+		}
 	}
 }
 
 func TestScanAllHugeThresholdEmpty(t *testing.T) {
 	ds := plantedDataset(t, 57, 40, 3, subspace.New(0))
 	m, _ := NewMiner(ds, Config{K: 3, T: 1e15, Seed: 1})
-	hits, err := m.ScanAll(ScanOptions{})
+	hits, err := m.ScanAll(context.Background(), ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +102,12 @@ func TestScanAllParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := m.ScanAll(ScanOptions{})
+	seq, err := m.ScanAll(context.Background(), ScanOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 1, 2, 4, 7} {
-		par, err := m.ScanAllParallel(ScanOptions{}, workers)
+	for _, workers := range []int{0, 2, 4, 7} {
+		par, err := m.ScanAll(context.Background(), ScanOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -131,11 +133,11 @@ func TestScanAllParallelXTreeBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := m.ScanAllParallel(ScanOptions{SortBySeverity: true, MaxResults: 5}, 4)
+	par, err := m.ScanAll(context.Background(), ScanOptions{SortBySeverity: true, MaxResults: 5, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := m.ScanAll(ScanOptions{SortBySeverity: true, MaxResults: 5})
+	seq, err := m.ScanAll(context.Background(), ScanOptions{SortBySeverity: true, MaxResults: 5, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,14 +148,6 @@ func TestScanAllParallelXTreeBackend(t *testing.T) {
 		if par[i].Index != seq[i].Index {
 			t.Fatalf("hit %d: %d vs %d", i, par[i].Index, seq[i].Index)
 		}
-	}
-}
-
-func TestScanAllParallelValidation(t *testing.T) {
-	ds := plantedDataset(t, 65, 40, 3, subspace.New(0))
-	m, _ := NewMiner(ds, Config{K: 3, TQuantile: 0.9, Seed: 1})
-	if _, err := m.ScanAllParallel(ScanOptions{MaxResults: -1}, 2); err == nil {
-		t.Fatal("negative MaxResults accepted")
 	}
 }
 
@@ -175,20 +169,21 @@ func midPointScanMiner(t *testing.T) *Miner {
 	return m
 }
 
-// ScanAllContext must notice cancellation *inside* a point's subspace
-// search, not only at point boundaries. The countdown context expires
-// after a handful of checks — far fewer than one point's sweep makes —
-// so if the scan returns having evaluated anywhere near a full
-// lattice, the mid-point check is broken.
+// ScanAll must notice cancellation *inside* a point's subspace search,
+// not only at point boundaries. The countdown context expires after a
+// handful of checks — far fewer than one point's sweep makes — so a
+// single-worker scan that reports even one finished point before
+// cancelling did not check mid-point.
 func TestScanAllContextCancelsMidPoint(t *testing.T) {
 	m := midPointScanMiner(t)
 	ctx := newCountdownCtx(8)
-	if _, err := m.ScanAllContext(ctx, ScanOptions{}); !errors.Is(err, context.Canceled) {
+	finished := 0
+	_, err := m.ScanAll(ctx, ScanOptions{Workers: 1, OnProgress: func(done, _ int) { finished = done }})
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	perPoint := int64(1)<<14 - 1
-	if got := m.eval.Evaluations(); got >= perPoint {
-		t.Fatalf("scan performed %d OD evaluations before cancelling; a full first point is %d — cancellation was not mid-point", got, perPoint)
+	if finished != 0 {
+		t.Fatalf("scan finished %d point(s) before cancelling — cancellation was not mid-point", finished)
 	}
 }
 
@@ -196,11 +191,13 @@ func TestScanAllContextPreCancelled(t *testing.T) {
 	m := midPointScanMiner(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := m.ScanAllContext(ctx, ScanOptions{}); !errors.Is(err, context.Canceled) {
+	finished := 0
+	_, err := m.ScanAll(ctx, ScanOptions{Workers: 1, OnProgress: func(done, _ int) { finished = done }})
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if got := m.eval.Evaluations(); got != 0 {
-		t.Fatalf("pre-cancelled scan still evaluated %d ODs", got)
+	if finished != 0 {
+		t.Fatalf("pre-cancelled scan still finished %d point(s)", finished)
 	}
 }
 
@@ -208,7 +205,7 @@ func TestScanAllParallelContextCancelsMidPoint(t *testing.T) {
 	m := midPointScanMiner(t)
 	ctx := newCountdownCtx(8)
 	start := time.Now()
-	if _, err := m.ScanAllParallelContext(ctx, ScanOptions{}, 2); !errors.Is(err, context.Canceled) {
+	if _, err := m.ScanAll(ctx, ScanOptions{Workers: 2}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// 8 countdown checks cover well under one point's sweep per
@@ -219,8 +216,8 @@ func TestScanAllParallelContextCancelsMidPoint(t *testing.T) {
 	}
 }
 
-// Sequential scans report progress in strict order: 1..n, each with
-// the dataset total.
+// Single-worker scans report progress in strict order: 1..n, each
+// with the dataset total.
 func TestScanProgressSequential(t *testing.T) {
 	ds := plantedDataset(t, 67, 50, 3, subspace.New(0))
 	m, err := NewMiner(ds, Config{K: 3, TQuantile: 0.9, Seed: 1})
@@ -228,7 +225,8 @@ func TestScanProgressSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	var calls [][2]int
-	_, err = m.ScanAllContext(context.Background(), ScanOptions{
+	_, err = m.ScanAll(context.Background(), ScanOptions{
+		Workers:    1,
 		OnProgress: func(done, total int) { calls = append(calls, [2]int{done, total}) },
 	})
 	if err != nil {
@@ -254,7 +252,8 @@ func TestScanProgressParallelCoversEveryPoint(t *testing.T) {
 	}
 	var mu sync.Mutex
 	seen := make(map[int]int)
-	_, err = m.ScanAllParallelContext(context.Background(), ScanOptions{
+	_, err = m.ScanAll(context.Background(), ScanOptions{
+		Workers: 4,
 		OnProgress: func(done, total int) {
 			if total != ds.N() {
 				t.Errorf("total = %d, want %d", total, ds.N())
@@ -263,7 +262,7 @@ func TestScanProgressParallelCoversEveryPoint(t *testing.T) {
 			seen[done]++
 			mu.Unlock()
 		},
-	}, 4)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +283,8 @@ func TestScanProgressStopsOnCancel(t *testing.T) {
 	ctx := newCountdownCtx(8)
 	var mu sync.Mutex
 	max := 0
-	_, err := m.ScanAllParallelContext(ctx, ScanOptions{
+	_, err := m.ScanAll(ctx, ScanOptions{
+		Workers: 2,
 		OnProgress: func(done, total int) {
 			mu.Lock()
 			if done > max {
@@ -292,38 +292,11 @@ func TestScanProgressStopsOnCancel(t *testing.T) {
 			}
 			mu.Unlock()
 		},
-	}, 2)
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if n := m.Dataset().N(); max >= n {
 		t.Fatalf("cancelled scan reported full progress %d/%d", max, n)
-	}
-}
-
-// ScanAllContext with an unconstrained context must agree exactly
-// with ScanAll (it *is* ScanAll).
-func TestScanAllContextMatchesScanAll(t *testing.T) {
-	planted := subspace.New(0, 2)
-	ds := plantedDataset(t, 52, 90, 4, planted)
-	m, err := NewMiner(ds, Config{K: 4, TQuantile: 0.95, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := m.ScanAll(ScanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := m.ScanAllContext(context.Background(), ScanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("%d hits vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Index != b[i].Index || !masksEqual(a[i].Minimal, b[i].Minimal) {
-			t.Fatalf("hit %d differs", i)
-		}
 	}
 }

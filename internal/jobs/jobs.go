@@ -124,6 +124,9 @@ var ErrQueueFull = errors.New("jobs: queue full")
 // ErrClosed rejects a Submit after Close has begun draining.
 var ErrClosed = errors.New("jobs: manager closed")
 
+// ErrNotFound is Wait's answer for an unknown or already-swept id.
+var ErrNotFound = errors.New("jobs: no such job")
+
 // Snapshot is a point-in-time view of one job, safe to retain: the
 // Result is the value Fn returned and is never mutated by the Manager.
 type Snapshot struct {
@@ -148,6 +151,7 @@ type job struct {
 	fn     Fn
 	ctx    context.Context
 	cancel context.CancelFunc
+	term   chan struct{} // closed once the job is terminal (Wait)
 
 	done, total atomic.Int64
 
@@ -281,6 +285,7 @@ func (m *Manager) Submit(kind string, fn Fn) (Snapshot, error) {
 		fn:      fn,
 		ctx:     ctx,
 		cancel:  cancel,
+		term:    make(chan struct{}),
 		state:   StateQueued,
 		created: m.opts.Clock(),
 	}
@@ -311,6 +316,32 @@ func (m *Manager) Get(id string) (Snapshot, bool) {
 	return j.snapshotLocked(), true
 }
 
+// Wait blocks until the job is terminal and returns that snapshot —
+// Get for a caller that is waiting on the result instead of polling
+// for it. A done job's result is marked fetched, so a result
+// delivered this way never counts as abandoned. If ctx ends first,
+// Wait returns ctx.Err() and leaves the job as it is; cancelling it
+// is the caller's call.
+func (m *Manager) Wait(ctx context.Context, id string) (Snapshot, error) {
+	m.mu.Lock()
+	j, ok := m.jobs[id]
+	m.mu.Unlock()
+	if !ok {
+		return Snapshot{}, ErrNotFound
+	}
+	select {
+	case <-j.term:
+	case <-ctx.Done():
+		return Snapshot{}, ctx.Err()
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state == StateDone {
+		j.fetched = true
+	}
+	return j.snapshotLocked(), nil
+}
+
 // Cancel requests cancellation of the job. A queued job transitions
 // to cancelled immediately; a running one has its context cancelled
 // and transitions when its Fn returns; a terminal one is unchanged.
@@ -329,6 +360,7 @@ func (m *Manager) Cancel(id string) (Snapshot, bool) {
 		j.err = context.Canceled
 		j.finished = m.opts.Clock()
 		j.fn = nil // never runs; drop the closure and its captures
+		close(j.term)
 		j.mu.Unlock()
 		j.cancel()
 		m.mu.Lock()
@@ -534,6 +566,7 @@ func (m *Manager) finish(j *job, res any, err error) {
 	// fn can pin arbitrarily large captures (in the server: a whole
 	// dataset entry) that the retained Snapshot does not need.
 	j.fn = nil
+	close(j.term)
 	j.mu.Unlock()
 	j.cancel() // release the context's resources
 

@@ -568,3 +568,114 @@ func TestRetryAfterNeverBelowOneSecond(t *testing.T) {
 		t.Fatalf("tiny history: RetryAfter = %v, want ≥ 1s", got)
 	}
 }
+
+// TestWaitReturnsTerminalSnapshot: Wait blocks through queued and
+// running and hands back the terminal snapshot for each way a job can
+// end.
+func TestWaitReturnsTerminalSnapshot(t *testing.T) {
+	m := NewManager(Options{})
+	defer closeNow(t, m)
+	boom := errors.New("lattice imploded")
+	release := make(chan struct{})
+	cases := []struct {
+		name  string
+		fn    Fn
+		want  State
+		check func(Snapshot) bool
+	}{
+		{"done", func(ctx context.Context, report func(done, total int)) (any, error) {
+			<-release
+			return "hits", nil
+		}, StateDone, func(s Snapshot) bool { return s.Result == "hits" && s.Err == nil }},
+		{"failed", func(ctx context.Context, report func(done, total int)) (any, error) {
+			return nil, boom
+		}, StateFailed, func(s Snapshot) bool { return errors.Is(s.Err, boom) && s.Result == nil }},
+		{"cancelled", func(ctx context.Context, report func(done, total int)) (any, error) {
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}, StateCancelled, func(s Snapshot) bool { return errors.Is(s.Err, context.Canceled) }},
+	}
+	for _, tc := range cases {
+		snap, err := m.Submit("scan", tc.fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch tc.want {
+		case StateDone:
+			go func() { time.Sleep(20 * time.Millisecond); close(release) }()
+		case StateCancelled:
+			go func() {
+				for s, _ := m.Get(snap.ID); s.State == StateQueued; s, _ = m.Get(snap.ID) {
+					time.Sleep(time.Millisecond)
+				}
+				m.Cancel(snap.ID)
+			}()
+		}
+		got, err := m.Wait(context.Background(), snap.ID)
+		if err != nil {
+			t.Fatalf("%s: Wait: %v", tc.name, err)
+		}
+		if got.ID != snap.ID || got.State != tc.want || !tc.check(got) {
+			t.Fatalf("%s: Wait returned %+v", tc.name, got)
+		}
+	}
+	if _, err := m.Wait(context.Background(), "scan-999"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Wait on unknown id: err = %v, want ErrNotFound", err)
+	}
+}
+
+// TestWaitContextEndsLeaveJobAlone: a Wait cut short by its context
+// returns ctx.Err() and changes nothing about the job it waited on.
+func TestWaitContextEndsLeaveJobAlone(t *testing.T) {
+	m := NewManager(Options{})
+	defer closeNow(t, m)
+	release := make(chan struct{})
+	snap, err := m.Submit("scan", func(ctx context.Context, report func(done, total int)) (any, error) {
+		<-release
+		return 7, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, snap.ID, StateRunning)
+
+	deadline, cancelDeadline := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancelDeadline()
+	if _, err := m.Wait(deadline, snap.ID); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Wait past its deadline: err = %v, want DeadlineExceeded", err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	go func() { time.Sleep(10 * time.Millisecond); cancel() }()
+	if _, err := m.Wait(cancelled, snap.ID); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Wait: err = %v, want Canceled", err)
+	}
+	if got, _ := m.Get(snap.ID); got.State != StateRunning {
+		t.Fatalf("job state after the waits = %v, want running", got.State)
+	}
+	close(release)
+	if got := waitState(t, m, snap.ID, StateDone); got.Result != 7 {
+		t.Fatalf("job result = %v, want 7", got.Result)
+	}
+}
+
+// TestWaitDeliveryIsNotAbandoned: a done result handed out by Wait is
+// delivered; sweeping it later must not count it as abandoned.
+func TestWaitDeliveryIsNotAbandoned(t *testing.T) {
+	clock := newFakeClock()
+	m := NewManager(Options{ResultTTL: time.Minute, Clock: clock.now})
+	defer closeNow(t, m)
+	snap, err := m.Submit("scan", func(ctx context.Context, report func(done, total int)) (any, error) { return 1, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := m.Wait(context.Background(), snap.ID); err != nil || got.State != StateDone {
+		t.Fatalf("Wait = %+v, %v", got, err)
+	}
+	clock.advance(2 * time.Minute)
+	if c := m.Counters(); c.Abandoned != 0 || c.Completed != 1 {
+		t.Fatalf("counters after the sweep = %+v, want 1 completed, 0 abandoned", c)
+	}
+	if _, ok := m.Get(snap.ID); ok {
+		t.Fatal("job survived the TTL sweep")
+	}
+}

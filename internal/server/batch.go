@@ -27,8 +27,8 @@ type batchRequest struct {
 	// default dataset).
 	Dataset string             `json:"dataset,omitempty"`
 	Items   []batchRequestItem `json:"items"`
-	// Workers overrides the per-batch fan-out (clamped to the server's
-	// BatchWorkers bound).
+	// Workers overrides the per-batch fan-out (clamped to
+	// GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -89,12 +89,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.error(w, http.StatusBadRequest, fmt.Sprintf("workers = %d", req.Workers))
 		return
 	}
-	maxWorkers := s.opts.BatchWorkers
-	if maxWorkers <= 0 {
-		maxWorkers = runtime.GOMAXPROCS(0)
-	}
 	workers := req.Workers
-	if workers == 0 || workers > maxWorkers {
+	if maxWorkers := runtime.GOMAXPROCS(0); workers == 0 || workers > maxWorkers {
 		workers = maxWorkers
 	}
 

@@ -30,10 +30,9 @@ import (
 // Admission is circuit-style: the queue depth is the budget, a full
 // queue answers 429 with a Retry-After estimated from recent job run
 // times and the current backlog — an honest "come back later", not a
-// blind rejection. Job scans run on their own worker pool
-// (JobWorkers), deliberately outside the synchronous scan semaphore:
-// interactive /scan traffic and background sweeps do not starve each
-// other at admission, they only share the machine.
+// blind rejection. POST /scan is the same job with a waiting client:
+// it submits through submitScan and blocks in jobs.Manager.Wait, so
+// every scan shares one worker pool (JobWorkers) and one queue.
 
 // jobProgress is the progress section of a job response.
 type jobProgress struct {
@@ -121,24 +120,39 @@ func (s *Server) handleSubmitScanJob(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	snap, ok := s.submitScan(w, plan)
+	if !ok {
+		return
+	}
+	s.debugf("server: job %s admitted (dataset %s, %d workers)", snap.ID, plan.d.name, plan.workers)
+	resp := renderJob(snap)
+	w.Header().Set("Location", "/jobs/"+snap.ID)
+	s.writeJSON(w, http.StatusAccepted, &resp)
+}
+
+// submitScan admits a planned scan and queues it as a job — the one
+// way a scan runs, whether the client polls for it (POST /jobs/scan)
+// or waits on it (POST /scan). On refusal it writes the response
+// itself and returns false.
+func (s *Server) submitScan(w http.ResponseWriter, plan *scanPlan) (jobs.Snapshot, bool) {
 	// Jobs run on their own worker pool, so the guard admits them
 	// detached — no concurrency permit is held through queueing and
 	// execution — but the dataset's breaker and the bulk class's share
 	// of the adaptive limit still gate submission: a dataset that is
-	// drowning must not keep accepting background sweeps it cannot
-	// serve. The job's outcome feeds back via RecordDetached below.
+	// drowning must not keep accepting sweeps it cannot serve. The
+	// job's outcome feeds back via RecordDetached below.
 	if rej := plan.d.guard.AdmitDetached(overload.Bulk); rej != nil {
 		if rej.Reason == overload.ReasonBreakerOpen {
 			s.shedBreakerOpen(w, plan.d.name, rej)
-			return
+			return jobs.Snapshot{}, false
 		}
 		retry := overload.RetryAfterSeconds(rej.RetryAfter)
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
 		s.error(w, http.StatusTooManyRequests,
 			fmt.Sprintf("dataset %q at its bulk concurrency share, retry in ~%ds", plan.d.name, retry))
-		return
+		return jobs.Snapshot{}, false
 	}
-	snap, err := s.jobs.Submit("scan", func(jobCtx context.Context, report func(done, total int)) (any, error) {
+	return s.submitJob(w, "scan", func(jobCtx context.Context, report func(done, total int)) (any, error) {
 		runCtx := jobCtx
 		if s.opts.JobTimeout > 0 {
 			var cancel context.CancelFunc
@@ -148,11 +162,11 @@ func (s *Server) handleSubmitScanJob(w http.ResponseWriter, r *http.Request) {
 		// The result's elapsed_ms is the scan's run time: the clock
 		// starts when a worker picks the job up, not at submission —
 		// queue wait is visible separately (created_at vs started_at).
-		resp, err := plan.run(runCtx, time.Now(), report)
+		resp, err := plan.run(runCtx, report)
 		// The detached admission's outcome lands in the breaker window
 		// before the error is dressed up for the poller: a job-timeout
 		// or engine failure is evidence against the dataset, while a
-		// DELETE-cancelled job proves nothing either way.
+		// cancelled job proves nothing either way.
 		plan.d.guard.RecordDetached(outcomeFor(err))
 		if err != nil {
 			// A deadline with the job's own context still live is the
@@ -164,13 +178,17 @@ func (s *Server) handleSubmitScanJob(w http.ResponseWriter, r *http.Request) {
 			}
 			return nil, err
 		}
-		// A completed job scan is an answered scan, same as the
-		// synchronous path: the global and per-dataset counters agree
-		// on "answers produced" regardless of transport.
 		plan.d.queries.Add(1)
 		s.stats.recordScan()
 		return resp, nil
 	})
+}
+
+// submitJob queues fn and maps the queue's refusals onto HTTP — the
+// one mapping every job-submitting endpoint shares. On refusal it
+// writes the response itself and returns false.
+func (s *Server) submitJob(w http.ResponseWriter, kind string, fn jobs.Fn) (jobs.Snapshot, bool) {
+	snap, err := s.jobs.Submit(kind, fn)
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):
 		// The shared helper floors the estimate at 1s: whatever the
@@ -183,18 +201,15 @@ func (s *Server) handleSubmitScanJob(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
 		s.error(w, http.StatusTooManyRequests,
 			fmt.Sprintf("job queue full (%d queued), retry in ~%ds", s.opts.JobQueueDepth, retry))
-		return
+		return snap, false
 	case errors.Is(err, jobs.ErrClosed):
 		s.error(w, http.StatusServiceUnavailable, "server is draining, no new jobs")
-		return
+		return snap, false
 	case err != nil:
 		s.error(w, http.StatusInternalServerError, err.Error())
-		return
+		return snap, false
 	}
-	s.debugf("server: job %s admitted (dataset %s, %d workers)", snap.ID, plan.d.name, plan.workers)
-	resp := renderJob(snap)
-	w.Header().Set("Location", "/jobs/"+snap.ID)
-	s.writeJSON(w, http.StatusAccepted, &resp)
+	return snap, true
 }
 
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
@@ -218,8 +233,9 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	resp := renderJob(snap)
 	// Cancelling a job that already finished is a no-op that reports
 	// the terminal state; it is not a delivery channel — only GET
-	// /jobs/{id} serves the result, because only Get marks it fetched
-	// and an unfetched delivery would later read as abandoned.
+	// /jobs/{id} and a waiting POST /scan serve the result, because
+	// only they mark it fetched and an unfetched delivery would later
+	// read as abandoned.
 	resp.Result = nil
 	s.writeJSON(w, http.StatusOK, &resp)
 }
@@ -235,8 +251,9 @@ func (s *Server) handleListJobs(w http.ResponseWriter, _ *http.Request) {
 		// The listing is an index, not a delivery channel: embedding
 		// every retained result would re-serialize up to MaxScanResults
 		// hits per done job on every poll, and a result read here would
-		// not mark the job fetched (only GET /jobs/{id} does, which is
-		// what keeps the abandoned counter honest).
+		// not mark the job fetched (only GET /jobs/{id} and a waiting
+		// POST /scan do, which is what keeps the abandoned counter
+		// honest).
 		resp.Jobs[i].Result = nil
 	}
 	s.writeJSON(w, http.StatusOK, resp)

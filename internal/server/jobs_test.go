@@ -84,26 +84,29 @@ func TestScanJobLifecycle(t *testing.T) {
 		t.Fatalf("async result diverged from sync scan:\n async %+v\n  sync %+v", async, sync)
 	}
 
+	// The sync scan ran as a job too.
 	st := s.Stats()
-	if st.Jobs.Submitted != 1 || st.Jobs.Completed != 1 {
+	if st.Jobs.Submitted != 2 || st.Jobs.Completed != 2 {
 		t.Fatalf("job stats = %+v", st.Jobs)
 	}
 	if st.Scans != 2 {
 		t.Fatalf("scans = %d, want 2 (sync + job)", st.Scans)
 	}
 
-	// GET /jobs lists the retained job.
+	// GET /jobs lists the retained jobs, oldest first.
 	var list listJobsResponse
 	if rec := do(t, h, "GET", "/jobs", "", &list); rec.Code != http.StatusOK {
 		t.Fatalf("list: status %d", rec.Code)
 	}
-	if len(list.Jobs) != 1 || list.Jobs[0].ID != submitted.ID || list.Counters.Completed != 1 {
+	if len(list.Jobs) != 2 || list.Jobs[1].ID != submitted.ID || list.Counters.Completed != 2 {
 		t.Fatalf("list = %+v", list)
 	}
 	// The listing is an index: results are served by GET /jobs/{id}
 	// only (which is also what marks them fetched).
-	if list.Jobs[0].Result != nil {
-		t.Fatal("GET /jobs embedded a job result")
+	for _, j := range list.Jobs {
+		if j.Result != nil {
+			t.Fatal("GET /jobs embedded a job result")
+		}
 	}
 }
 
@@ -141,10 +144,11 @@ func TestScanJobOutlivesScanTimeout(t *testing.T) {
 }
 
 // TestJobQueueFullGets429WithRetryAfter: one worker busy on a slow
-// scan, depth-1 queue occupied — the third submission must be turned
-// away with 429 and a positive Retry-After, and counted as rejected.
+// scan, depth-1 queue occupied — the next scan submission, and a
+// compaction request too, must be turned away with 429 and a positive
+// Retry-After, and counted as rejected.
 func TestJobQueueFullGets429WithRetryAfter(t *testing.T) {
-	s := newSlowScanServer(t, Options{JobWorkers: 1, JobQueueDepth: 1})
+	s := newSlowScanServer(t, Options{JobWorkers: 1, JobQueueDepth: 1, DataDir: t.TempDir(), WAL: true})
 	h := s.Handler()
 	submit := func() (*jobResponse, int, string) {
 		rec := do(t, h, "POST", "/jobs/scan", `{}`, nil)
@@ -173,7 +177,14 @@ func TestJobQueueFullGets429WithRetryAfter(t *testing.T) {
 	if err != nil || secs < 1 {
 		t.Fatalf("Retry-After = %q, want a positive integer", retry)
 	}
-	if st := s.Stats(); st.Jobs.Rejected != 1 || st.Jobs.Queued != 1 || st.Jobs.Running != 1 {
+	rec := do(t, h, "POST", "/datasets/default/compact", "", nil)
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("compact with a full queue: status %d, want 429 (body %s)", rec.Code, rec.Body.String())
+	}
+	if secs, err := strconv.Atoi(rec.Header().Get("Retry-After")); err != nil || secs < 1 {
+		t.Fatalf("compact Retry-After = %q, want a positive integer", rec.Header().Get("Retry-After"))
+	}
+	if st := s.Stats(); st.Jobs.Rejected != 2 || st.Jobs.Queued != 1 || st.Jobs.Running != 1 {
 		t.Fatalf("job stats = %+v", st.Jobs)
 	}
 	// Cancel both so the test does not wait out the slow sweeps.

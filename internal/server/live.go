@@ -465,9 +465,8 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		s.error(w, http.StatusBadRequest, "WAL persistence is disabled (start hosserve with -data-dir and -wal)")
 		return
 	}
-	snap, err := s.jobs.Submit("compact", s.compactJob(d))
-	if err != nil {
-		s.error(w, http.StatusServiceUnavailable, err.Error())
+	snap, ok := s.submitJob(w, "compact", s.compactJob(d))
+	if !ok {
 		return
 	}
 	resp := renderJob(snap)

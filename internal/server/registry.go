@@ -484,22 +484,23 @@ func (s *Server) newView(d *dataset, m *core.Miner, epoch int64, ids, stamps []i
 
 // guardConfig derives a per-dataset overload config from Options:
 // explicit Overload fields win, and the gaps are filled from the
-// classic tuning knobs. The class caps default to the static
-// MaxConcurrent* bounds — each class keeps its hard ceiling — and the
-// adaptive limit tops out at their sum, so a healthy dataset behaves
-// exactly as the static-semaphore server did; only under pressure
-// does the shrinking limit bite (bulk first, then batch).
+// classic tuning knobs. The class caps default to the static bounds —
+// MaxConcurrentQueries, MaxConcurrentBatches and JobWorkers, the number
+// of scans that can run at once — and the adaptive limit tops out at
+// their sum, so a healthy dataset behaves exactly as the
+// static-semaphore server did; only under pressure does the shrinking
+// limit bite (bulk first, then batch).
 func (s *Server) guardConfig() overload.Config {
 	cfg := s.opts.Overload
 	if cfg.ClassCaps == [3]int{} {
 		cfg.ClassCaps = [3]int{
 			overload.Interactive: s.opts.MaxConcurrentQueries,
 			overload.Batch:       s.opts.MaxConcurrentBatches,
-			overload.Bulk:        s.opts.MaxConcurrentScans,
+			overload.Bulk:        s.opts.JobWorkers,
 		}
 	}
 	if cfg.MaxLimit == 0 {
-		cfg.MaxLimit = s.opts.MaxConcurrentQueries + s.opts.MaxConcurrentBatches + s.opts.MaxConcurrentScans
+		cfg.MaxLimit = s.opts.MaxConcurrentQueries + s.opts.MaxConcurrentBatches + s.opts.JobWorkers
 	}
 	if cfg.TargetP99 == 0 {
 		cfg.TargetP99 = s.opts.QueryTimeout / 2

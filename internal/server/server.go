@@ -5,7 +5,8 @@
 //
 //	POST /query      outlying subspaces of a dataset row or ad-hoc vector
 //	POST /batch      many queries at once through a shared per-batch OD cache
-//	POST /scan       bounded whole-dataset sweep with severity ranking
+//	POST /scan       bounded whole-dataset sweep with severity ranking,
+//	                 run as a scan job the request waits on
 //	POST /jobs/scan  the same sweep as an async job (progress + polling)
 //	GET  /jobs/{id}  job status/progress/result; DELETE cancels
 //	GET  /healthz    liveness + dataset summary
@@ -50,7 +51,8 @@ import (
 type Options struct {
 	// QueryTimeout bounds one /query computation (default 10s).
 	QueryTimeout time.Duration
-	// ScanTimeout bounds one /scan computation (default 2min).
+	// ScanTimeout bounds one /scan request — queue wait plus run time
+	// of its scan job (default 2min).
 	ScanTimeout time.Duration
 	// MaxBodyBytes bounds request bodies (default 1 MiB).
 	MaxBodyBytes int64
@@ -60,12 +62,9 @@ type Options struct {
 	// MaxScanResults caps the hits one /scan may return; requests
 	// asking for more (or for "all" via 0) are clamped (default 1000).
 	MaxScanResults int
-	// ScanWorkers is the ScanAllParallel fan-out (default GOMAXPROCS,
-	// chosen by core).
+	// ScanWorkers is the per-scan ScanAll fan-out (default
+	// GOMAXPROCS, chosen by core).
 	ScanWorkers int
-	// MaxConcurrentScans bounds simultaneous scans; excess requests
-	// get 429 (default 1).
-	MaxConcurrentScans int
 	// MaxConcurrentQueries bounds simultaneously *computing* queries
 	// (default 4×GOMAXPROCS). A request that cannot take a compute
 	// slot within QueryTimeout is shed with 503; this is what keeps a
@@ -87,9 +86,6 @@ type Options struct {
 	MaxBatchItems int
 	// BatchTimeout bounds one /batch computation (default 1min).
 	BatchTimeout time.Duration
-	// BatchWorkers caps the per-batch evaluation fan-out; client
-	// requests asking for more are clamped (default GOMAXPROCS).
-	BatchWorkers int
 	// MaxConcurrentBatches bounds simultaneously computing batches;
 	// excess requests get 429 (default 2). Fully-cached batches never
 	// take a slot.
@@ -101,13 +97,13 @@ type Options struct {
 	// loading allocates N×D floats and preprocesses them inline, so an
 	// unbounded request is a memory/CPU DoS (default 100000).
 	MaxLoadPoints int
-	// JobQueueDepth bounds async scan jobs accepted but not yet
-	// running; a full queue rejects POST /jobs/scan with 429 and a
-	// Retry-After estimate (default 8).
+	// JobQueueDepth bounds jobs accepted but not yet running; a full
+	// queue rejects POST /scan, POST /jobs/scan and compaction requests
+	// with 429 and a Retry-After estimate (default 8).
 	JobQueueDepth int
-	// JobWorkers is the async job worker-pool size — how many jobs
-	// may run simultaneously, independent of MaxConcurrentScans
-	// (default 1: full-lattice scans monopolise cores).
+	// JobWorkers is the job worker-pool size — how many jobs, every
+	// scan included, may run simultaneously (default 1: full-lattice
+	// scans monopolise cores).
 	JobWorkers int
 	// JobResultTTL bounds how long a finished job's result stays
 	// fetchable via GET /jobs/{id} (default 15min).
@@ -122,9 +118,9 @@ type Options struct {
 	// take the package defaults, except where the server derives better
 	// ones: MaxLimit defaults to the sum of the three class caps,
 	// TargetP99 to QueryTimeout/2, and ClassCaps to
-	// [MaxConcurrentQueries, MaxConcurrentBatches, MaxConcurrentScans],
-	// so the operator's static bounds survive as per-class ceilings
-	// under the adaptive limit.
+	// [MaxConcurrentQueries, MaxConcurrentBatches, JobWorkers], so the
+	// operator's static bounds survive as per-class ceilings under the
+	// adaptive limit.
 	Overload overload.Config
 	// FaultHook, when set, is consulted at the start of every compute
 	// (op ∈ "query"|"batch"|"scan", plus the dataset name). A non-nil
@@ -183,8 +179,8 @@ type Options struct {
 	// report as outliers everywhere — and it rides into snapshots of
 	// the default dataset so the rescaling survives a restart.
 	NormStats []snapshot.ColumnRange
-	// Logf, when set, receives debug-level serving events (abandoned
-	// scan outcomes, job lifecycle); nil discards them.
+	// Logf, when set, receives debug-level serving events (job
+	// lifecycle, auto-compaction); nil discards them.
 	Logf func(format string, args ...any)
 }
 
@@ -203,9 +199,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.MaxScanResults <= 0 {
 		o.MaxScanResults = 1000
-	}
-	if o.MaxConcurrentScans <= 0 {
-		o.MaxConcurrentScans = 1
 	}
 	if o.MaxConcurrentQueries <= 0 {
 		o.MaxConcurrentQueries = 4 * runtime.GOMAXPROCS(0)
@@ -627,8 +620,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // scanPlan is a validated, clamped scan request — the shared front
-// half of the synchronous /scan handler and the async POST /jobs/scan
-// submission, so both admission paths apply identical bounds.
+// half of POST /scan and POST /jobs/scan, so both apply identical
+// bounds.
 type scanPlan struct {
 	d *dataset
 	// v is the epoch pinned at planning time: the whole sweep runs
@@ -683,19 +676,21 @@ func (s *Server) planScan(w http.ResponseWriter, r *http.Request) (*scanPlan, bo
 	return plan, true
 }
 
-// run executes the plan and renders the response; onProgress may be
-// nil (the synchronous handler has nobody to report to).
-func (p *scanPlan) run(ctx context.Context, start time.Time, onProgress func(done, total int)) (*scanResponse, error) {
+// run executes the plan and renders the response; its elapsed_ms is
+// the scan's run time.
+func (p *scanPlan) run(ctx context.Context, onProgress func(done, total int)) (*scanResponse, error) {
+	start := time.Now()
 	if p.hook != nil {
 		if _, err := p.hook(); err != nil {
 			return nil, err
 		}
 	}
-	hits, err := p.v.miner.ScanAllParallelContext(ctx, core.ScanOptions{
+	hits, err := p.v.miner.ScanAll(ctx, core.ScanOptions{
 		MaxResults:     p.maxResults,
 		SortBySeverity: p.sortBySeverity,
+		Workers:        p.workers,
 		OnProgress:     onProgress,
-	}, p.workers)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -716,77 +711,38 @@ func (p *scanPlan) run(ctx context.Context, start time.Time, onProgress func(don
 	return resp, nil
 }
 
+// handleScan is POST /scan: the scan job of POST /jobs/scan with the
+// client waiting on it. ScanTimeout covers queue wait plus run time;
+// when it lapses, or the client leaves, the job is cancelled.
 func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	plan, ok := s.planScan(w, r)
 	if !ok {
 		return
 	}
-
-	// Bulk traffic fails fast: a scan that cannot be admitted right now
-	// is the cheapest thing on the server to retry (or to re-route
-	// through the async job path).
-	permit, rej := plan.d.guard.Admit(r.Context(), overload.Bulk, false)
-	if rej != nil {
-		if rej.Reason == overload.ReasonBreakerOpen {
-			s.shedBreakerOpen(w, plan.d.name, rej)
-			return
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(overload.RetryAfterSeconds(rej.RetryAfter)))
-		s.error(w, http.StatusTooManyRequests,
-			fmt.Sprintf("scan limit (%d concurrent) reached, retry later (or submit via POST /jobs/scan)", s.opts.MaxConcurrentScans))
+	job, ok := s.submitScan(w, plan)
+	if !ok {
 		return
 	}
-
-	// The scan context is cancelled on deadline, client disconnect, or
-	// handler return: workers notice between points, so an abandoned
-	// scan frees its cores and its semaphore slot promptly instead of
-	// sweeping to completion for nobody.
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.ScanTimeout)
 	defer cancel()
-
-	type outcome struct {
-		resp *scanResponse
-		err  error
-	}
-	// done is unbuffered and quit closes when the handler returns, so
-	// the scan goroutine always learns which of the two happened: its
-	// outcome was received, or it completed for nobody — the
-	// previously-invisible abandonment the stats now count.
-	done := make(chan outcome)
-	quit := make(chan struct{})
-	defer close(quit)
-	go func() {
-		resp, err := plan.run(ctx, start, nil)
-		permit.Release(outcomeFor(err), time.Since(start))
-		select {
-		case done <- outcome{resp, err}:
-		case <-quit:
-			s.stats.recordScanAbandoned()
-			s.debugf("server: scan abandoned after %s (dataset %s, err %v)",
-				time.Since(start).Round(time.Millisecond), plan.d.name, err)
-		}
-	}()
-
-	select {
-	case <-ctx.Done():
-		s.scanInterrupted(w, ctx.Err())
+	snap, err := s.jobs.Wait(ctx, job.ID)
+	if err != nil {
+		s.jobs.Cancel(job.ID)
+		s.scanInterrupted(w, err)
 		return
-	case o := <-done:
-		// The scan is ctx-aware, so a deadline or disconnect can
-		// surface through its error rather than ctx.Done() when both
-		// become ready together; classify it the same way.
-		switch {
-		case o.err != nil && (errors.Is(o.err, context.DeadlineExceeded) || errors.Is(o.err, context.Canceled)):
-			s.scanInterrupted(w, o.err)
-			return
-		case o.err != nil:
-			s.error(w, http.StatusInternalServerError, o.err.Error())
-			return
-		}
-		plan.d.queries.Add(1)
-		s.stats.recordScan()
-		s.writeJSON(w, http.StatusOK, o.resp)
+	}
+	switch {
+	case snap.State == jobs.StateDone:
+		out := *snap.Result.(*scanResponse) // copy: the job keeps its result
+		out.ElapsedMs = msSince(start)
+		s.writeJSON(w, http.StatusOK, &out)
+	case snap.State == jobs.StateCancelled || errors.Is(snap.Err, context.DeadlineExceeded):
+		// Cancelled by DELETE /jobs/{id} or a shutdown drain, or timed
+		// out inside the engine: a capacity signal, like the deadline.
+		s.error(w, http.StatusServiceUnavailable, fmt.Sprintf("scan job %s %s: %v", job.ID, snap.State, snap.Err))
+	default:
+		s.error(w, http.StatusInternalServerError, snap.Err.Error())
 	}
 }
 

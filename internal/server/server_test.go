@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -410,10 +411,10 @@ func TestScanClientCancelIsNot503(t *testing.T) {
 	if snap.Errors != 0 {
 		t.Fatalf("client cancellation counted as %d server errors", snap.Errors)
 	}
-	// The interrupted scan goroutine finishes into nobody's hands and
-	// must be visible as abandoned.
-	waitStats(t, s, "scans_abandoned == 1", func(st StatsSnapshot) bool {
-		return st.ScansAbandoned == 1
+	// The handler cancels the scan job it was waiting on, so the sweep
+	// stops instead of finishing for nobody.
+	waitStats(t, s, "jobs.cancelled == 1", func(st StatsSnapshot) bool {
+		return st.Jobs.Cancelled == 1
 	})
 }
 
@@ -442,26 +443,17 @@ func TestQueryClientCancelIsNot503(t *testing.T) {
 }
 
 // TestScanDeadlineCountsAbandoned forces the deadline path: the
-// handler answers 503 (a real capacity error) and the scan goroutine,
-// completing into a channel nobody reads anymore, must be counted and
-// debug-logged instead of vanishing.
+// handler answers 503 (a real capacity error) and cancels the scan job
+// it was waiting on, which must end cancelled instead of sweeping on
+// for nobody.
 func TestScanDeadlineCountsAbandoned(t *testing.T) {
-	var mu sync.Mutex
-	var logged []string
-	s := newTestServer(t, Options{
-		ScanTimeout: time.Nanosecond,
-		Logf: func(format string, args ...any) {
-			mu.Lock()
-			logged = append(logged, fmt.Sprintf(format, args...))
-			mu.Unlock()
-		},
-	})
+	s := newTestServer(t, Options{ScanTimeout: time.Nanosecond})
 	rec := do(t, s.Handler(), "POST", "/scan", `{}`, nil)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503 (body %s)", rec.Code, rec.Body.String())
 	}
-	snap := waitStats(t, s, "scans_abandoned == 1", func(st StatsSnapshot) bool {
-		return st.ScansAbandoned == 1
+	snap := waitStats(t, s, "jobs.cancelled == 1", func(st StatsSnapshot) bool {
+		return st.Jobs.Cancelled == 1
 	})
 	if snap.Errors != 1 {
 		t.Fatalf("errors = %d, want 1 (the 503 is the server's fault)", snap.Errors)
@@ -469,16 +461,8 @@ func TestScanDeadlineCountsAbandoned(t *testing.T) {
 	if snap.ClientCancelled != 0 {
 		t.Fatalf("client_cancelled = %d for a server-side deadline", snap.ClientCancelled)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	found := false
-	for _, line := range logged {
-		if strings.Contains(line, "scan abandoned") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no abandonment debug log in %q", logged)
+	if snap.Jobs.Completed != 0 || snap.Jobs.Abandoned != 0 {
+		t.Fatalf("job stats = %+v, want the scan cancelled, not completed", snap.Jobs)
 	}
 }
 
@@ -492,17 +476,43 @@ func TestScanTimeoutReleasesSlot(t *testing.T) {
 	waitIdle(t, s)
 }
 
+// TestScanConcurrencyLimit: POST /scan shares the job worker pool and
+// queue. With the only worker busy, a sync scan queues; with the queue
+// full too, the next one is shed with 429 + Retry-After. Cancelling
+// the queued scan's job answers its waiting client 503.
 func TestScanConcurrencyLimit(t *testing.T) {
-	s := newTestServer(t, Options{})
-	release := occupySlot(t, s, overload.Bulk) // occupy the single scan slot
-	rec := do(t, s.Handler(), "POST", "/scan", `{}`, nil)
+	s := newSlowScanServer(t, Options{JobWorkers: 1, JobQueueDepth: 1})
+	h := s.Handler()
+	rec := do(t, h, "POST", "/jobs/scan", `{}`, nil)
+	var running jobResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &running); rec.Code != http.StatusAccepted || err != nil {
+		t.Fatalf("submit: status %d (body %s)", rec.Code, rec.Body.String())
+	}
+	waitJob(t, s, running.ID, "running")
+
+	waiting := make(chan *httptest.ResponseRecorder, 1)
+	go func() { waiting <- do(t, h, "POST", "/scan", `{}`, nil) }()
+	waitStats(t, s, "jobs.queued == 1", func(st StatsSnapshot) bool { return st.Jobs.Queued == 1 })
+
+	rec = do(t, h, "POST", "/scan", `{}`, nil)
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429 (body %s)", rec.Code, rec.Body.String())
 	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Fatal("scan capacity shed carried no Retry-After header")
+	if secs, err := strconv.Atoi(rec.Header().Get("Retry-After")); err != nil || secs < 1 {
+		t.Fatalf("Retry-After = %q, want ≥ 1s", rec.Header().Get("Retry-After"))
 	}
-	release()
+
+	var list listJobsResponse
+	do(t, h, "GET", "/jobs", "", &list)
+	for _, j := range list.Jobs {
+		if j.State == "queued" {
+			do(t, h, "DELETE", "/jobs/"+j.ID, "", nil)
+		}
+	}
+	if rec := <-waiting; rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("sync scan whose job was cancelled: status %d, want 503 (body %s)", rec.Code, rec.Body.String())
+	}
+	do(t, h, "DELETE", "/jobs/"+running.ID, "", nil)
 }
 
 func TestHealthz(t *testing.T) {

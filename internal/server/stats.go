@@ -44,11 +44,6 @@ type serverStats struct {
 	// drown inside the generic error count.
 	registryConflicts int64
 	datasetNotFound   int64
-	// scansAbandoned counts synchronous scans whose handler stopped
-	// listening (deadline or disconnect) before the scan goroutine
-	// delivered its outcome — work that completed (or aborted) for
-	// nobody. The async /jobs/scan path exists to drive this to zero.
-	scansAbandoned int64
 
 	batches            int64 // /batch requests answered
 	batchItems         int64 // items across all answered batches
@@ -135,14 +130,6 @@ func (s *serverStats) recordRegistryConflict() {
 func (s *serverStats) recordDatasetNotFound() {
 	s.mu.Lock()
 	s.datasetNotFound++
-	s.mu.Unlock()
-}
-
-// recordScanAbandoned counts a scan outcome that completed with no
-// handler left to receive it.
-func (s *serverStats) recordScanAbandoned() {
-	s.mu.Lock()
-	s.scansAbandoned++
 	s.mu.Unlock()
 }
 
@@ -289,7 +276,6 @@ type StatsSnapshot struct {
 	ClientCancelled   int64          `json:"client_cancelled"`
 	RegistryConflicts int64          `json:"registry_conflicts"`
 	DatasetNotFound   int64          `json:"dataset_not_found"`
-	ScansAbandoned    int64          `json:"scans_abandoned"`
 	CacheHits         int64          `json:"cache_hits"`
 	CacheMisses       int64          `json:"cache_misses"`
 	CacheEntries      int            `json:"cache_entries"`
@@ -326,7 +312,6 @@ func (s *serverStats) snapshot(cacheEntries int, uptime time.Duration) StatsSnap
 		ClientCancelled:   s.clientCancelled,
 		RegistryConflicts: s.registryConflicts,
 		DatasetNotFound:   s.datasetNotFound,
-		ScansAbandoned:    s.scansAbandoned,
 		CacheHits:         s.cacheHits,
 		CacheMisses:       s.cacheMiss,
 		CacheEntries:      cacheEntries,

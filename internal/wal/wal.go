@@ -151,13 +151,13 @@ type SyncPolicy struct {
 }
 
 // ParseSyncPolicy parses the -wal-sync flag grammar:
-// "always" | "batch" | "interval=<duration>". The legacy boolean
-// spellings "true"/"false" map to always/batch. Empty means batch.
+// "always" | "batch" | "interval=<duration>". Empty means batch; any
+// other spelling is an error.
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
-	case "", "batch", "false":
+	case "", "batch":
 		return SyncPolicy{Mode: SyncBatch}, nil
-	case "always", "true":
+	case "always":
 		return SyncPolicy{Mode: SyncAlways}, nil
 	}
 	if rest, ok := strings.CutPrefix(s, "interval="); ok {

@@ -457,9 +457,7 @@ func TestParseSyncPolicy(t *testing.T) {
 	for in, want := range map[string]SyncPolicy{
 		"":              {Mode: SyncBatch},
 		"batch":         {Mode: SyncBatch},
-		"false":         {Mode: SyncBatch},
 		"always":        {Mode: SyncAlways},
-		"true":          {Mode: SyncAlways},
 		"interval=50ms": {Mode: SyncInterval, Interval: 50 * time.Millisecond},
 		"interval=2s":   {Mode: SyncInterval, Interval: 2 * time.Second},
 	} {
@@ -471,7 +469,7 @@ func TestParseSyncPolicy(t *testing.T) {
 			t.Fatalf("%q: got %+v, want %+v", in, got, want)
 		}
 	}
-	for _, in := range []string{"nope", "interval=", "interval=abc", "interval=0", "interval=-1s"} {
+	for _, in := range []string{"nope", "true", "false", "interval=", "interval=abc", "interval=0", "interval=-1s"} {
 		if _, err := ParseSyncPolicy(in); err == nil {
 			t.Fatalf("%q: accepted", in)
 		}
